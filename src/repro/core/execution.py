@@ -10,13 +10,20 @@ compression level?" -- with a different cost/fidelity trade-off:
   the circuit-level engines in the test suite.
 * :class:`DensityMatrixEngine` evolves register A's density matrix exactly.  The
   noiseless path runs the whole sample batch through the batched kernels of a
-  :class:`~repro.quantum.backend.SimulationBackend`; noisy or gate-level runs
-  simulate the full ``2n+1``-qubit circuit, but as one *batched* circuit walk
-  over all samples (every sample shares the gate structure; only the amplitude
-  encoding differs).  A noisy compression sweep additionally checkpoints the
-  post-encoding density batch -- every level shares the circuit prefix, so the
-  prefix is walked once per sweep and only the per-level suffix (reset +
-  decoder + SWAP test) is replayed from the checkpoint.
+  :class:`~repro.quantum.backend.SimulationBackend`.  Noisy or gate-level runs
+  use the *factorized sweep*: with gate-local noise the circuit prefix leaves
+  the ``2n+1``-qubit register in ``|0><0|_anc (x) rho_B (x) rho_A``, so the
+  engine prepares ``rho_B`` for every sample with a batched, circuit-free
+  state-preparation kernel, pushes it through the member's cached ``n``-qubit
+  encoder channel to get ``rho_A``, and reads each compression level as
+  ``p1 = Re sum conj(W00[p,q,r,s]) rho_B[p,r] rho_A[q,s]``, where ``W00`` is
+  the ancilla-0 block of the level's cached Heisenberg-picture observable.
+  No ``2n+1``-qubit density matrix is ever formed.  Noise models that are not
+  gate-local (:attr:`repro.quantum.noise.NoiseModel.is_gate_local`), and
+  ``compile_circuits=False``, take the interpreted full-register walk
+  instead; it and the per-sample :class:`~repro.quantum.simulator
+  .DensityMatrixSimulator` are the oracles the sweep is tested against
+  (<= 1e-12).
 * :class:`StatevectorEngine` runs stochastic trajectories, mimicking how a
   shot-based hardware run (or Qiskit Aer's statevector method with mid-circuit
   resets) behaves.  All samples and all trajectories are evolved together as one
@@ -41,7 +48,7 @@ loop used, so fixed-seed results are unchanged.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -51,16 +58,13 @@ from repro.algorithms.autoencoder import (
     build_autoencoder_prefix,
     build_autoencoder_suffix,
 )
-from repro.encoding.amplitude import state_preparation_circuit
 from repro.quantum.backend import SimulationBackend, get_simulation_backend
-from repro.quantum.circuit import Instruction, QuantumCircuit
 from repro.quantum.backends import FakeBrisbane
 from repro.quantum.compiler import CircuitCompiler, default_compiler
 from repro.quantum.noise import NoiseModel
 from repro.quantum.simulator import (
     BatchedDensityMatrixSimulator,
     DensityMatrixSimulator,
-    IncompatibleMemberBatch,
 )
 
 __all__ = [
@@ -155,8 +159,7 @@ class SwapTestEngine(ABC):
 
         The default loops members through :meth:`_exact_levels_batch`;
         :class:`AnalyticEngine` and :class:`DensityMatrixEngine` override it
-        with genuinely stacked computations (one member-batched contraction
-        per sweep step).
+        with member-batched computations that run the serial kernels.
         """
         stack, ansatzes = self._validated_member_group(amplitude_stack,
                                                        ansatzes)
@@ -367,14 +370,21 @@ class DensityMatrixEngine(SwapTestEngine):
     whole sample batch at once through the simulation backend's batched
     kernels; this is mathematically identical to simulating the full
     ``2n+1``-qubit circuit (the reference register stays pure and the SWAP test
-    reads ``P(1) = (1 - <psi| rho_A |psi>) / 2``).  Runs with a noise model or
-    gate-level encoding use :meth:`p1_batch_circuit_level`, which walks the full
-    circuit for *all samples at once* -- the gate structure is shared across the
-    batch, so noise channels apply to whole density-matrix batches and only the
-    amplitude encoding is per-sample.  Noisy compression sweeps go further:
-    :meth:`p1_levels_batch_circuit_level` walks the level-independent circuit
-    prefix exactly once for the whole ``(levels x samples)`` sweep, checkpoints
-    the post-prefix density batch, and replays only the per-level suffix.
+    reads ``P(1) = (1 - <psi| rho_A |psi>) / 2``).
+
+    Runs with a noise model or gate-level encoding use :meth:`_factorized_sweep`
+    whenever :attr:`factorizes`: the prefix state is
+    ``|0><0|_anc (x) rho_B (x) rho_A`` for gate-local noise, so only two
+    ``n``-qubit registers are simulated -- ``rho_B`` by the batched noisy
+    state-preparation kernel, ``rho_A`` by the member's cached encoder channel
+    -- and each level's P(1) is one contraction of the ancilla-0 block of the
+    level's cached dual observable against the pair.  Serial and fused
+    (member-batched) runs share that sweep, so they agree bitwise.  Models
+    that are not gate-local, and ``compile_circuits=False``, take the
+    interpreted full-register reference walk: the ``2n+1``-qubit prefix walked
+    once per sweep, each level's suffix replayed from that checkpoint.  The
+    per-sample :meth:`p1_per_sample_circuit_level` is the oracle both are
+    tested against.
     """
 
     def __init__(self, shots: Optional[int] = 4096,
@@ -431,146 +441,135 @@ class DensityMatrixEngine(SwapTestEngine):
             exact_p1[position] = np.clip((1.0 - overlap) / 2.0, 0.0, 1.0)
         return exact_p1
 
+    @property
+    def factorizes(self) -> bool:
+        """True when circuit-level sweeps run the factorized sweep.
+
+        The factorization needs compiled execution and a noise model whose
+        errors are gate-local (:attr:`repro.quantum.noise.NoiseModel
+        .is_gate_local`); anything else walks the full register with the
+        interpreted reference walker.
+        """
+        return self.compile_circuits and (self.noise_model is None
+                                          or self.noise_model.is_gate_local)
+
     def p1_levels_member_batch(self, amplitude_stack: np.ndarray,
                                ansatzes: Sequence[RandomAutoencoderAnsatz],
                                compression_levels: Sequence[int]) -> np.ndarray:
-        """Whole signature group through one member-batched circuit walk.
+        """Whole signature group through one factorized sweep.
 
-        The noisy (or gate-level) compiled path is the genuinely fused one:
-        every member's per-sample prefixes walk together through
-        :meth:`~repro.quantum.simulator.BatchedDensityMatrixSimulator
-        .evolve_member_batch` (member-shared gate runs execute as
-        member-stacked compiled programs, per-sample encoding columns flatten
-        across members), and each level of the sweep is ONE member-batched
-        expectation of the group's stacked Heisenberg observables against the
-        ``(members, samples, d, d)`` checkpoint stack.  Interpreted mode
-        (``compile_circuits=False``) and the noiseless initialize-encoding
-        path keep the reference per-member loop.
+        The serial path runs the same :meth:`_factorized_sweep` with one
+        member, so fused and serial results share every kernel and are
+        bitwise identical.  The noiseless ``initialize`` path and runs that
+        do not factorize keep the reference per-member loop.
         """
         if (self.noise_model is None and not self.gate_level_encoding) \
-                or not self.compile_circuits:
+                or not self.factorizes:
             return super().p1_levels_member_batch(amplitude_stack, ansatzes,
                                                   compression_levels)
         stack, ansatzes = self._validated_member_group(amplitude_stack,
                                                        ansatzes)
         levels = self._validated_levels(compression_levels, ansatzes[0])
-        return self._circuit_level_member_sweep(stack, ansatzes, levels)
+        return self._factorized_sweep(stack, ansatzes, levels)
 
-    def _circuit_level_member_sweep(self, stack: np.ndarray,
-                                    ansatzes: Sequence[RandomAutoencoderAnsatz],
-                                    levels: Sequence[int]) -> np.ndarray:
-        """Member-batched twin of :meth:`_circuit_level_sweep`.
+    def _factorized_sweep(self, stack: np.ndarray,
+                          ansatzes: Sequence[RandomAutoencoderAnsatz],
+                          levels: Sequence[int]) -> np.ndarray:
+        """Exact ``(members, levels, samples)`` probabilities, two registers.
 
-        Falls back to per-member checkpoint walks (identical arithmetic,
-        shared walker) when per-sample structural divergence -- e.g. a
-        zero-amplitude rotation elided from one sample's encoding -- makes
-        the group's prefixes non-stackable.
+        With gate-local noise, the prefix touches registers A and B
+        separately, so the post-prefix state is exactly
+        ``|0><0|_anc (x) rho_B (x) rho_A``:
+
+        * ``rho_B`` is the (noisy) state preparation of each row, run for
+          all ``members * samples`` rows at once by
+          :meth:`~repro.quantum.simulator.BatchedDensityMatrixSimulator
+          .prepare_batch` (or the pure ``initialize`` state);
+        * ``rho_A`` is ``rho_B`` pushed through the member's cached
+          ``n``-qubit encoder channel;
+        * each level's P(1) is ``Re <W_00, rho_B (x) rho_A>``, where
+          ``W_00`` is the ancilla-0 block of the level's cached dual
+          observable, contracted without forming the Kronecker product.
+
+        Per member, every kernel sees the same ``(samples, ...)`` slice
+        whatever the member count, which keeps fused results bitwise equal
+        to serial ones.  Large groups run in member chunks of at most
+        ``BatchedDensityMatrixSimulator.MAX_FLAT_ELEMENTS`` density entries,
+        which bounds memory without changing any member's result.
         """
-        members, samples = stack.shape[:2]
-        walker = BatchedDensityMatrixSimulator(
-            noise_model=self.noise_model, backend=self.backend,
-            compiler=self.compiler, compile_programs=self.compile_circuits,
-        )
-        member_prefixes = self._member_prefix_batches(stack, ansatzes)
-        try:
-            checkpoints = walker.evolve_member_batch(member_prefixes)
-        except IncompatibleMemberBatch:
-            checkpoints = np.stack([
-                walker.evolve_batch(prefixes) for prefixes in member_prefixes
-            ])
-        ancilla = 2 * ansatzes[0].num_qubits
+        members, samples, dim = stack.shape
+        chunk = max(1, BatchedDensityMatrixSimulator.MAX_FLAT_ELEMENTS
+                    // (samples * dim * dim))
         exact_p1 = np.empty((members, len(levels), samples))
-        for position, level in enumerate(levels):
-            suffixes = [
-                build_autoencoder_suffix(ansatz, level, measure=False)
-                for ansatz in ansatzes
-            ]
-            observables = self.compiler.member_stacked_dual_observable(
-                suffixes, self.noise_model, ancilla, self.backend
-            )
-            exact_p1[:, position, :] = (
-                self.backend.observable_expectation_density_member_batch(
-                    checkpoints, observables
-                )
-            )
+        for start in range(0, members, chunk):
+            group = slice(start, start + chunk)
+            exact_p1[group] = self._factorized_chunk(stack[group],
+                                                     ansatzes[group], levels)
         return exact_p1
 
-    def _member_prefix_batches(self, stack: np.ndarray,
-                               ansatzes: Sequence[RandomAutoencoderAnsatz]
-                               ) -> List[List[QuantumCircuit]]:
-        """Per-member prefix circuits with each distinct part built once.
-
-        :func:`~repro.algorithms.autoencoder.build_autoencoder_prefix`
-        synthesizes the sample's two-register state preparation and the
-        member's encoder for every (member, sample) pair.  Across a fused
-        signature group that re-synthesizes each member's encoder once per
-        sample and each repeated amplitude row (members drawing the same
-        feature subset encode identical rows) once per member.  Here the
-        encoding block is built once per *distinct* row, the encoder once per
-        member, and each prefix is assembled by instruction-list
-        concatenation -- instruction for instruction identical to the
-        per-pair builder, so structure signatures, compiled-program cache
-        keys, and walk results are all unchanged.
-        """
+    def _factorized_chunk(self, stack: np.ndarray,
+                          ansatzes: Sequence[RandomAutoencoderAnsatz],
+                          levels: Sequence[int]) -> np.ndarray:
+        """:meth:`_factorized_sweep` of one member chunk."""
+        members, samples, dim = stack.shape
         num_qubits = ansatzes[0].num_qubits
-        total_qubits = 2 * num_qubits + 1
-        register_a = list(range(num_qubits))
-        register_b = list(range(num_qubits, 2 * num_qubits))
-        encodings: Dict[bytes, List[Instruction]] = {}
+        backend = self.backend
+        rows = stack.reshape(members * samples, dim)
+        if self.gate_level_encoding:
+            walker = BatchedDensityMatrixSimulator(
+                noise_model=self.noise_model, backend=backend,
+                compiler=self.compiler,
+            )
+            prepared = walker.prepare_batch(rows)
+        else:
+            prepared = backend.density_from_states(backend.as_states(rows))
+        rhos_b = prepared.reshape(members, samples, dim, dim)
+        register = list(range(num_qubits))
+        rhos_a = [
+            backend.apply_compiled_superoperator_batch(
+                rhos_b[member],
+                self.compiler.channel_program(ansatz.encoder_circuit(register),
+                                              self.noise_model, backend),
+            )
+            for member, ansatz in enumerate(ansatzes)
+        ]
+        block = dim * dim
+        exact_p1 = np.empty((members, len(levels), samples))
+        for position, level in enumerate(levels):
+            observables = self._level_observables(ansatzes, level)
+            for member in range(members):
+                exact_p1[member, position] = (
+                    backend.product_expectation_density_batch(
+                        rhos_b[member], rhos_a[member],
+                        observables[member][:block, :block],
+                    )
+                )
+        return exact_p1
 
-        def encoding_instructions(row: np.ndarray) -> List[Instruction]:
-            key = row.tobytes()
-            cached = encodings.get(key)
-            if cached is not None:
-                return cached
-            head = QuantumCircuit(total_qubits, 1)
-            if self.gate_level_encoding:
-                preparation = state_preparation_circuit(row, num_qubits)
-                head.compose(preparation, qubits=register_a,
-                             clbits=[0] * preparation.num_clbits)
-                head.compose(preparation, qubits=register_b,
-                             clbits=[0] * preparation.num_clbits)
-            else:
-                head.initialize(row, register_a)
-                head.initialize(row, register_b)
-            head.barrier()
-            encodings[key] = head.instructions
-            return head.instructions
+    def _level_observables(self, ansatzes: Sequence[RandomAutoencoderAnsatz],
+                           level: int) -> Sequence[np.ndarray]:
+        """Each member's cached dual observable of one level's suffix.
 
-        member_prefixes: List[List[QuantumCircuit]] = []
-        for member, ansatz in enumerate(ansatzes):
-            encoder = ansatz.encoder_circuit(register_a,
-                                             num_circuit_qubits=total_qubits)
-            tail = QuantumCircuit(total_qubits, 1)
-            tail.compose(encoder, clbits=[0] * encoder.num_clbits)
-            batch: List[QuantumCircuit] = []
-            for row in stack[member]:
-                prefix = QuantumCircuit(total_qubits, 1,
-                                        name="quorum_autoencoder_prefix")
-                prefix.instructions = (encoding_instructions(row)
-                                       + tail.instructions)
-                batch.append(prefix)
-            member_prefixes.append(batch)
-        return member_prefixes
+        A group of several members fetches them as one member-stacked
+        artifact; its entries are the per-member observables, bit for bit.
+        """
+        suffixes = [build_autoencoder_suffix(ansatz, level, measure=False)
+                    for ansatz in ansatzes]
+        ancilla = 2 * ansatzes[0].num_qubits
+        if len(suffixes) == 1:
+            return [self.compiler.dual_observable(
+                suffixes[0], self.noise_model, ancilla, self.backend)]
+        return self.compiler.member_stacked_dual_observable(
+            suffixes, self.noise_model, ancilla, self.backend)
 
     def p1_levels_batch_circuit_level(self, amplitudes: np.ndarray,
                                       ansatz: RandomAutoencoderAnsatz,
                                       compression_levels: Sequence[int]
                                       ) -> np.ndarray:
-        """Checkpointed full-circuit sweep (the noisy multi-level hot path).
+        """Fused multi-level sweep of the noisy (or gate-level) circuit.
 
-        Every compression level of the sweep shares the same circuit prefix
-        (amplitude encoding of both registers + the encoder ansatz); only the
-        suffix (reset block + decoder + SWAP test) depends on the level.  The
-        walker therefore evolves the batched prefix **exactly once** (with its
-        shared gate runs executing as compiled fused operators) and keeps the
-        post-prefix density batch as a checkpoint.  With compilation on (the
-        default), each level's sample-independent suffix is then lowered once
-        into a cached Heisenberg-picture observable and evaluated as a single
-        batched matmul against the checkpoint; with ``compile_circuits=False``
-        the suffix is replayed forward from a snapshot, gate by gate, exactly
-        as in the pre-compilation implementation.  Either way results agree
-        with looping :meth:`p1_batch_circuit_level` per level, and the
+        Runs :meth:`_factorized_sweep` when the engine factorizes, and the
+        checkpointed full-register reference walk otherwise; either way the
         shot-noise RNG is consumed in the exact level-major order the
         historical per-level loop used.
         """
@@ -585,15 +584,16 @@ class DensityMatrixEngine(SwapTestEngine):
     def _circuit_level_sweep(self, amplitudes: np.ndarray,
                              ansatz: RandomAutoencoderAnsatz,
                              levels: Sequence[int]) -> np.ndarray:
-        """Exact ``(levels, samples)`` probabilities of the checkpointed sweep.
+        """Exact ``(levels, samples)`` probabilities of one member's sweep.
 
-        Shared by the fused multi-level entry point and the single-level
-        ``p1_batch_circuit_level``, so a per-level loop over the latter is
-        arithmetically identical to one fused sweep.  With compilation on, the
-        per-level suffix never runs forward at all: the compiler's cached
-        Heisenberg-picture observable ``W = C^dagger(|1><1|_ancilla)`` turns
-        each level into ONE batched matmul against the checkpoint.
+        The factorized sweep with one member, or -- for interpreted mode and
+        noise models that are not gate-local -- the reference walk: the
+        level-independent ``2n+1``-qubit prefix walked once, gate by gate,
+        and each level's suffix replayed forward from that checkpoint.
         """
+        if self.factorizes:
+            return self._factorized_sweep(amplitudes[None], [ansatz],
+                                          levels)[0]
         prefixes = [
             build_autoencoder_prefix(
                 row, ansatz, gate_level_encoding=self.gate_level_encoding,
@@ -602,23 +602,13 @@ class DensityMatrixEngine(SwapTestEngine):
         ]
         walker = BatchedDensityMatrixSimulator(
             noise_model=self.noise_model, backend=self.backend,
-            compiler=self.compiler, compile_programs=self.compile_circuits,
+            compiler=self.compiler, compile_programs=False,
         )
         checkpoint = walker.evolve_batch(prefixes)
         ancilla = 2 * ansatz.num_qubits
         exact_p1 = np.empty((len(levels), amplitudes.shape[0]))
         for position, level in enumerate(levels):
             suffix = build_autoencoder_suffix(ansatz, level, measure=False)
-            if self.compile_circuits:
-                observable = self.compiler.dual_observable(
-                    suffix, self.noise_model, ancilla, self.backend
-                )
-                exact_p1[position] = (
-                    self.backend.observable_expectation_density_batch(
-                        checkpoint, observable
-                    )
-                )
-                continue
             rhos = walker.replay_suffix_batch(checkpoint, suffix)
             exact_p1[position] = self.backend.probability_one_density_batch(
                 rhos, ancilla
@@ -628,21 +618,18 @@ class DensityMatrixEngine(SwapTestEngine):
     def p1_batch_circuit_level(self, amplitudes: np.ndarray,
                                ansatz: RandomAutoencoderAnsatz,
                                compression_level: int) -> np.ndarray:
-        """Full-circuit simulation of the whole batch at ONE compression level.
+        """The whole batch at ONE compression level.
 
-        Every sample's circuit shares the same gate structure -- only the
-        amplitude encoding differs -- so all samples walk one batched circuit
-        through :class:`~repro.quantum.simulator.BatchedDensityMatrixSimulator`
-        instead of looping a per-sample simulator.  Level sweeps do not loop
-        this method: :meth:`p1_levels_batch_circuit_level` checkpoints the
-        shared prefix and replays only the per-level suffix (this per-level
-        walk remains the pre-checkpoint regression reference).
+        With compilation on this is the one-level sweep of
+        :meth:`_circuit_level_sweep`.  With ``compile_circuits=False`` every
+        sample's full circuit walks through one batched interpreted
+        :class:`~repro.quantum.simulator.BatchedDensityMatrixSimulator` walk
+        (the pre-checkpoint regression reference).
         """
         amplitudes = self._validated_batch(amplitudes, ansatz, compression_level)
         if self.compile_circuits:
-            # Same checkpoint + compiled-observable arithmetic as the fused
-            # sweep, so a per-level loop over this method stays bitwise
-            # identical to one `p1_levels_batch` call.
+            # The same sweep as `p1_levels_batch`, so a per-level loop over
+            # this method stays bitwise identical to one fused call.
             exact_p1 = self._circuit_level_sweep(amplitudes, ansatz,
                                                  [compression_level])[0]
             return self._apply_shot_noise(exact_p1)

@@ -10,6 +10,9 @@ Two encoding routes are provided:
 * :func:`state_preparation_circuit` synthesizes an explicit gate-level circuit
   (multiplexed RY rotations + CX) preparing the state -- this is what the paper's
   "amplitude embedding" compiles to and what the noisy simulations consume.
+  Its gates come from :func:`state_preparation_schedule`, the vectorized angle
+  schedule of a whole batch of rows, which the batched noisy kernel runs
+  directly without building circuits.
 * ``QuantumCircuit.initialize`` consumes the amplitudes directly; the simulators
   treat it as an exact state preparation (faster, used for noiseless sweeps).
 """
@@ -18,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -28,6 +31,8 @@ __all__ = [
     "amplitude_probabilities",
     "amplitudes_from_features",
     "state_preparation_circuit",
+    "state_preparation_schedule",
+    "PreparationStep",
     "AmplitudeEncoder",
 ]
 
@@ -76,54 +81,86 @@ def amplitudes_from_features(features: Sequence[float], num_qubits: int) -> np.n
     return np.sqrt(amplitude_probabilities(features, num_qubits))
 
 
-def _conditional_angles(amplitudes: np.ndarray, target_qubit: int,
-                        num_qubits: int) -> List[float]:
-    """RY angles of the multiplexor acting on ``target_qubit``.
+class PreparationStep(NamedTuple):
+    """One gate column of the batched Mottonen state-preparation schedule.
+
+    ``name`` is ``"ry"`` or ``"cx"``; ``qubits`` are the gate's qubits (target
+    for RY, ``(control, target)`` for CX).  For an RY column, ``angles`` holds
+    one rotation angle per row and ``active`` marks the rows whose circuit
+    keeps the gate: a rotation with ``|angle| <= _TOLERANCE`` is dropped from
+    that row's circuit entirely (no gate, and so no gate noise).  CX columns
+    carry ``None`` for both and apply to every row.
+    """
+
+    name: str
+    qubits: Tuple[int, ...]
+    angles: Optional[np.ndarray]
+    active: Optional[np.ndarray]
+
+
+def _conditional_angles(probabilities: np.ndarray, target_qubit: int,
+                        num_qubits: int) -> np.ndarray:
+    """RY angles of the multiplexor acting on ``target_qubit``, per row.
 
     The multiplexor is controlled by all more-significant qubits
-    (``target_qubit + 1 .. num_qubits - 1``); entry ``m`` of the returned list is
-    the angle used when those controls read the little-endian pattern ``m``.
+    (``target_qubit + 1 .. num_qubits - 1``); column ``m`` of the returned
+    ``(rows, 2**controls)`` array is the angle used when those controls read
+    the little-endian pattern ``m``.
     """
-    probabilities = amplitudes ** 2
     num_controls = num_qubits - 1 - target_qubit
-    angles: List[float] = []
-    for pattern in range(2 ** num_controls):
-        prob_zero = 0.0
-        prob_one = 0.0
-        for index, probability in enumerate(probabilities):
-            high_bits = index >> (target_qubit + 1)
-            if high_bits != pattern:
-                continue
-            if (index >> target_qubit) & 1:
-                prob_one += probability
-            else:
-                prob_zero += probability
-        if prob_zero + prob_one < _TOLERANCE:
-            angles.append(0.0)
-            continue
-        angles.append(2.0 * math.atan2(math.sqrt(prob_one), math.sqrt(prob_zero)))
+    # Basis index = low bits + 2^t * target bit + 2^(t+1) * control pattern.
+    blocks = probabilities.reshape(probabilities.shape[0], 2 ** num_controls,
+                                   2, 2 ** target_qubit)
+    prob_zero = blocks[:, :, 0, :].sum(axis=2)
+    prob_one = blocks[:, :, 1, :].sum(axis=2)
+    angles = 2.0 * np.arctan2(np.sqrt(prob_one), np.sqrt(prob_zero))
+    angles[prob_zero + prob_one < _TOLERANCE] = 0.0
     return angles
 
 
-def _apply_multiplexed_ry(circuit: QuantumCircuit, angles: Sequence[float],
+def _multiplexed_ry_steps(steps: List[PreparationStep], angles: np.ndarray,
                           controls: Sequence[int], target: int) -> None:
-    """Recursively decompose a uniformly controlled RY into RY and CX gates."""
-    if len(angles) != 2 ** len(controls):
+    """Recursively decompose a uniformly controlled RY into RY and CX columns."""
+    if angles.shape[1] != 2 ** len(controls):
         raise ValueError("angle count must be 2**len(controls)")
     if not controls:
-        if abs(angles[0]) > _TOLERANCE:
-            circuit.ry(angles[0], target)
+        column = angles[:, 0]
+        steps.append(PreparationStep("ry", (target,), column,
+                                     np.abs(column) > _TOLERANCE))
         return
-    half = len(angles) // 2
-    low = list(angles[:half])   # most-significant control = 0
-    high = list(angles[half:])  # most-significant control = 1
-    first = [(a + b) / 2.0 for a, b in zip(low, high)]
-    second = [(a - b) / 2.0 for a, b in zip(low, high)]
+    half = angles.shape[1] // 2
+    low = angles[:, :half]   # most-significant control = 0
+    high = angles[:, half:]  # most-significant control = 1
     last_control = controls[-1]
-    _apply_multiplexed_ry(circuit, first, controls[:-1], target)
-    circuit.cx(last_control, target)
-    _apply_multiplexed_ry(circuit, second, controls[:-1], target)
-    circuit.cx(last_control, target)
+    _multiplexed_ry_steps(steps, (low + high) / 2.0, controls[:-1], target)
+    steps.append(PreparationStep("cx", (last_control, target), None, None))
+    _multiplexed_ry_steps(steps, (low - high) / 2.0, controls[:-1], target)
+    steps.append(PreparationStep("cx", (last_control, target), None, None))
+
+
+def state_preparation_schedule(amplitudes: np.ndarray,
+                               num_qubits: int) -> List[PreparationStep]:
+    """Gate schedule of the Mottonen preparation for a batch of amplitude rows.
+
+    ``amplitudes`` is a ``(rows, 2**num_qubits)`` array of non-negative real
+    amplitudes.  Every row shares the same column sequence -- an RY on the
+    most significant qubit, then multiplexed RY rotations (RY and CX columns)
+    working down to qubit 0 -- and differs only in its angles and in which
+    near-zero rotations it drops.  This is the single source of the
+    preparation: :func:`state_preparation_circuit` emits one row of it as
+    gates, and the batched density-matrix kernel
+    (:meth:`repro.quantum.simulator.BatchedDensityMatrixSimulator.prepare_batch`)
+    runs all rows of it at once, so the two cannot drift apart.
+    """
+    probabilities = np.asarray(amplitudes, dtype=float) ** 2
+    if probabilities.ndim != 2 or probabilities.shape[1] != 2 ** num_qubits:
+        raise ValueError("amplitudes must be a (rows, 2**num_qubits) batch")
+    steps: List[PreparationStep] = []
+    for target in reversed(range(num_qubits)):
+        controls = list(range(target + 1, num_qubits))
+        angles = _conditional_angles(probabilities, target, num_qubits)
+        _multiplexed_ry_steps(steps, angles, controls, target)
+    return steps
 
 
 def state_preparation_circuit(amplitudes: Sequence[float],
@@ -151,10 +188,11 @@ def state_preparation_circuit(amplitudes: Sequence[float],
         raise ValueError("amplitudes must be normalized")
     circuit = QuantumCircuit(num_qubits, 0 if num_qubits == 0 else num_qubits,
                              name="state_prep")
-    for target in reversed(range(num_qubits)):
-        controls = list(range(target + 1, num_qubits))
-        angles = _conditional_angles(amplitudes, target, num_qubits)
-        _apply_multiplexed_ry(circuit, angles, controls, target)
+    for step in state_preparation_schedule(amplitudes[None, :], num_qubits):
+        if step.name == "cx":
+            circuit.cx(*step.qubits)
+        elif step.active[0]:
+            circuit.ry(step.angles[0], step.qubits[0])
     return circuit
 
 

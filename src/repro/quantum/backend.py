@@ -246,6 +246,41 @@ class SimulationBackend(ABC):
         flat = rhos.reshape(rhos.shape[0], -1)
         return np.real(flat @ observable.conj().reshape(-1))
 
+    def product_expectation_density_batch(self, rhos_b: np.ndarray,
+                                          rhos_a: np.ndarray,
+                                          observable: np.ndarray
+                                          ) -> np.ndarray:
+        """Row-wise ``Re <O, rho_b (x) rho_a>`` of a product state; ``(batch,)``.
+
+        ``observable`` acts on the two registers together, register A being
+        the low-order (fast) factor of its index: seen as a
+        ``(d_b, d_a, d_b, d_a)`` tensor, row ``i`` of the result is
+        ``Re sum conj(O[p, q, r, s]) rho_b[i, p, r] rho_a[i, q, s]``.  The
+        Kronecker product is never formed: register A is contracted against
+        the observable in one matmul, and the remainder against ``rho_b``
+        elementwise.  This is the readout of the factorized noisy sweep,
+        where ``O`` is the ancilla-0 block of a compiled
+        :meth:`~repro.quantum.compiler.CircuitCompiler.dual_observable`.
+        """
+        rhos_b = np.asarray(rhos_b, dtype=self.dtype)
+        rhos_a = np.asarray(rhos_a, dtype=self.dtype)
+        observable = np.asarray(observable, dtype=self.dtype)
+        for rhos in (rhos_b, rhos_a):
+            if rhos.ndim != 3 or rhos.shape[1] != rhos.shape[2]:
+                raise ValueError("a density batch must be (batch, d, d)")
+        if rhos_a.shape[0] != rhos_b.shape[0]:
+            raise ValueError("the two density batches differ in batch size")
+        batch, dim_b, dim_a = rhos_b.shape[0], rhos_b.shape[1], rhos_a.shape[1]
+        if observable.shape != (dim_b * dim_a, dim_b * dim_a):
+            raise ValueError("observable shape does not match the registers")
+        # kernel[(q, s), (p, r)] = conj(O[p, q, r, s])
+        kernel = np.ascontiguousarray(
+            observable.reshape(dim_b, dim_a, dim_b, dim_a)
+            .transpose(1, 3, 0, 2).conj()
+        ).reshape(dim_a * dim_a, dim_b * dim_b)
+        partial = rhos_a.reshape(batch, -1) @ kernel
+        return np.real(np.sum(partial * rhos_b.reshape(batch, -1), axis=1))
+
     # ------------------------------------------------- member-stacked programs
     def _validated_member_stack(self, stack: np.ndarray,
                                 ndim: int) -> np.ndarray:
@@ -768,6 +803,13 @@ class NumpyFloat32Backend(NumpyBackend):
                                              ) -> np.ndarray:
         return super().observable_expectation_density_batch(
             rhos, observable).astype(np.float64)
+
+    def product_expectation_density_batch(self, rhos_b: np.ndarray,
+                                          rhos_a: np.ndarray,
+                                          observable: np.ndarray
+                                          ) -> np.ndarray:
+        return super().product_expectation_density_batch(
+            rhos_b, rhos_a, observable).astype(np.float64)
 
     def observable_expectation_density_member_batch(self, rhos: np.ndarray,
                                                     observables: np.ndarray

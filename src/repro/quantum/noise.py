@@ -206,7 +206,7 @@ class NoiseModel:
     Gate errors are registered by gate name; an error registered for ``"cx"`` is
     applied (on the gate's qubits) after every ``cx`` in the circuit.  The special
     name ``"all_1q"`` / ``"all_2q"`` matches any single-/two-qubit unitary that has
-    no more specific entry.
+    no more specific entry.  Such models are gate-local (:attr:`is_gate_local`).
     """
 
     def __init__(self) -> None:
@@ -262,6 +262,24 @@ class NoiseModel:
     def is_trivial(self) -> bool:
         """True when the model contains no errors at all."""
         return not self._gate_errors and self._readout_error is None
+
+    @property
+    def is_gate_local(self) -> bool:
+        """True when every error acts only on its gate's qubits and depends
+        only on the gate's name and arity.
+
+        This is the precondition of the factorized noisy sweep in
+        :class:`repro.core.execution.DensityMatrixEngine`: with gate-local
+        errors, gates on disjoint registers never correlate them, so the
+        registers of the Quorum prefix evolve as a product state.  The lookup
+        implemented here keys errors by (name, arity) and applies them to the
+        gate's own qubits, so the answer is checked on the class: a subclass
+        that overrides :meth:`error_for_instruction` (and can see the
+        instruction's qubits) is not gate-local unless it also overrides this
+        property.  Engines send non-local models to the full-register walk.
+        """
+        return (type(self).error_for_instruction
+                is NoiseModel.error_for_instruction)
 
     def error_for_instruction(self, instruction: Instruction) -> Optional[QuantumError]:
         """Return the Kraus error to apply after ``instruction`` (or None).

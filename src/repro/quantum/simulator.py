@@ -19,6 +19,18 @@ simply a batch of size one.  The batched SWAP-test engines in
 implementation accelerates both the per-circuit and the batched paths.  See
 :mod:`repro.quantum.backend` for the batching contract (leading batch axis,
 ``complex128`` dtype, little-endian indices).
+
+:class:`BatchedDensityMatrixSimulator` walks whole batches of structurally
+identical circuits.  Its :meth:`~BatchedDensityMatrixSimulator.prepare_batch`
+kernel is the noisy engine's hot path: the gate-level state preparation of
+every sample, run from a vectorized angle schedule on ``n``-qubit density
+batches with no circuit objects, which is what the factorized sweep of
+:class:`repro.core.execution.DensityMatrixEngine` needs for ``rho_B``.  Its
+full-register walks (:meth:`~BatchedDensityMatrixSimulator.evolve_batch`) are
+the reference path for noise models that are not gate-local, and
+:class:`DensityMatrixSimulator` is the per-sample oracle the factorized sweep
+is tested against (<= 1e-12; the preparation kernel against the walk of
+:func:`~repro.encoding.amplitude.state_preparation_circuit`, <= 1e-14).
 """
 
 from __future__ import annotations
@@ -478,11 +490,20 @@ class BatchedDensityMatrixSimulator:
     backend, applying noise channels to the whole batch per gate.  Gates whose
     matrices differ across the batch (per-sample state-preparation rotations)
     go through the per-sample-gate kernel; shared gates (ansatz, SWAP test) use
-    the single-gate kernel.
-
-    This removes the last per-sample Python loop from the noisy density-matrix
-    path while remaining exactly equivalent to running
+    the single-gate kernel.  Results are exactly those of running
     :class:`DensityMatrixSimulator` once per circuit.
+
+    State preparation
+    -----------------
+    :meth:`prepare_batch` is the circuit-free kernel behind the noisy engine's
+    factorized sweep: it runs the gate-level preparation of every amplitude
+    row on an ``n``-qubit density batch straight from
+    :func:`~repro.encoding.amplitude.state_preparation_schedule`, one fused
+    gate-and-noise superoperator per column.  The factorized sweep simulates
+    registers A and B of the Quorum circuit separately (valid for gate-local
+    noise), so the full-register walks below are off the engine's default
+    path: they serve noise models that are not gate-local, interpreted mode,
+    and the tests.
 
     Checkpoint/replay
     -----------------
@@ -499,8 +520,8 @@ class BatchedDensityMatrixSimulator:
 
     Compiled execution
     ------------------
-    By default (``compile_programs=True``) the walker does not interpret the
-    shared portions of a circuit gate by gate: contiguous runs of
+    With ``compile_programs=True`` (the default) the walker does not interpret
+    the shared portions of a circuit gate by gate: contiguous runs of
     sample-independent instructions (shared gates, their noise channels,
     resets) are lowered once through a :class:`~repro.quantum.compiler
     .CircuitCompiler` into a handful of fused dense operators and applied via
@@ -508,9 +529,11 @@ class BatchedDensityMatrixSimulator:
     genuinely per-sample columns (``initialize`` payloads, state-preparation
     rotations with per-sample angles) still walk individually.  Compiled runs
     live in the compiler's LRU cache keyed by (circuit signature, noise
-    fingerprint, backend dtype), so repeated sweeps never re-lower.
-    ``compile_programs=False`` selects the original gate-by-gate interpreter,
-    retained as the reference path for the parity test suite.
+    fingerprint, backend dtype).  Sharing is decided by comparing matrices
+    across the batch, so a one-sample batch compiles its sample's rotations
+    too; this is one reason the engine no longer walks prefixes here.
+    ``compile_programs=False`` selects the gate-by-gate interpreter, the
+    reference path the engine falls back to.
     """
 
     #: Upper bound on density-matrix elements (``batch * 4**num_qubits``) walked
@@ -739,6 +762,82 @@ class BatchedDensityMatrixSimulator:
                 )
         flush()
         return np.stack(rho_batches)
+
+    def prepare_batch(self, amplitudes: np.ndarray) -> np.ndarray:
+        """Gate-level state preparation of every amplitude row, with noise.
+
+        ``amplitudes`` is a ``(rows, 2**n)`` batch of non-negative amplitude
+        rows; the result is the ``(rows, 2**n, 2**n)`` density batch that the
+        interpreted walk of each row's
+        :func:`~repro.encoding.amplitude.state_preparation_circuit` produces,
+        computed without building any circuit and without the compiler.  The
+        rows walk one shared column sequence,
+        :func:`~repro.encoding.amplitude.state_preparation_schedule`: each RY
+        column applies one per-row ``noise o (U (x) conj(U))``
+        superoperator (the identity on rows whose circuit drops the
+        rotation, so those rows get neither the gate nor its noise), and each
+        CX column one shared superoperator.  Every kernel call is a per-row
+        batched matmul, so a row's result does not depend on which other rows
+        share its batch.
+        """
+        from repro.encoding.amplitude import state_preparation_schedule
+
+        backend = self.backend
+        amplitudes = np.asarray(amplitudes, dtype=float)
+        if amplitudes.ndim != 2:
+            raise ValueError("amplitudes must be a 2-D batch (rows, 2**n)")
+        rows, dim = amplitudes.shape
+        num_qubits = dim.bit_length() - 1
+        rhos = backend.density_from_states(backend.zero_states(rows,
+                                                               num_qubits))
+        for step in state_preparation_schedule(amplitudes, num_qubits):
+            instruction = Instruction(name=step.name, qubits=step.qubits)
+            if step.name == "cx":
+                gate = instruction.matrix_or_standard()
+                superops = np.kron(gate, gate.conj())[None, :, :]
+            else:
+                half = step.angles / 2.0
+                cos, sin = np.cos(half), np.sin(half)
+                gates = np.stack([np.stack([cos, -sin], axis=1),
+                                  np.stack([sin, cos], axis=1)], axis=1)
+                superops = np.einsum("bij,bkl->bikjl", gates, gates).reshape(
+                    rows, 4, 4)
+            rhos = self._apply_preparation_column(rhos, instruction, superops,
+                                                  step.active)
+        return rhos
+
+    def _apply_preparation_column(self, rhos: np.ndarray,
+                                  instruction: Instruction,
+                                  superops: np.ndarray,
+                                  active: Optional[np.ndarray]) -> np.ndarray:
+        """One preparation column: gate superoperators fused with noise.
+
+        ``superops`` is ``(rows, d^2, d^2)``, or ``(1, d^2, d^2)`` when every
+        row shares the gate; ``active`` (or ``None`` for all rows) marks the
+        rows that run the column at all.
+        """
+        backend = self.backend
+        rows = rhos.shape[0]
+        error = (self.noise_model.error_for_instruction(instruction)
+                 if self.noise_model is not None else None)
+        channel = None
+        if error is not None and error.num_qubits == len(instruction.qubits):
+            superops = np.matmul(error.superoperator, superops)
+        elif error is not None:
+            # Channel on a sub-block of the gate's qubits: a second column.
+            channel = error.superoperator[None, :, :]
+        steps = [(superops, instruction.qubits)]
+        if channel is not None:
+            steps.append((channel, instruction.qubits[: error.num_qubits]))
+        for matrices, qubits in steps:
+            matrices = np.broadcast_to(matrices,
+                                       (rows,) + matrices.shape[1:])
+            if active is not None:
+                identity = np.eye(matrices.shape[-1], dtype=matrices.dtype)
+                matrices = np.where(active[:, None, None], matrices, identity)
+            rhos = backend.apply_superoperators_density_batch(rhos, matrices,
+                                                              qubits)
+        return rhos
 
     def replay_suffix_batch(self, checkpoint_rhos: np.ndarray,
                             circuit: QuantumCircuit) -> np.ndarray:

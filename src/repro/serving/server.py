@@ -137,6 +137,26 @@ class ServerRuntime:
             "jobs_live_count", "Jobs currently tracked, by status")
         self.g_sessions_live = self.metrics.gauge(
             "sessions_live_count", "Open scoring sessions")
+        self.m_compiles = self.metrics.counter(
+            "compiler_compiles_total",
+            "Programs lowered by the replica's circuit compiler")
+        self.g_compiler_cache = self.metrics.gauge(
+            "compiler_cache_bytes",
+            "Payload bytes held by the compiled-program cache")
+        self._compiler_sample_lock = threading.Lock()
+
+    def sample_compiler_metrics(self) -> None:
+        """Mirror the registry compiler's stats into the metrics registry.
+
+        The compiler keeps its own counters; the scrape copies them, adding
+        the compiles made since the previous scrape to the counter.
+        """
+        compiler = self.registry.compiler
+        with self._compiler_sample_lock:
+            fresh = compiler.stats.compiles - self.m_compiles.value()
+            if fresh > 0:
+                self.m_compiles.inc(fresh)
+            self.g_compiler_cache.set(compiler.cache_bytes())
 
     @property
     def draining(self) -> bool:
@@ -565,6 +585,7 @@ class _Handler(BaseHTTPRequestHandler):
         for status_name, live in runtime.jobs.counts().items():
             runtime.g_jobs_live.set(live, status=status_name)
         runtime.g_sessions_live.set(len(runtime.sessions))
+        runtime.sample_compiler_metrics()
         query = urlsplit(self.path).query
         accept = self.headers.get("Accept", "")
         if "format=prometheus" in query or "text/plain" in accept:

@@ -562,6 +562,9 @@ WELL_KNOWN_METRICS: Tuple[Tuple[str, str], ...] = (
     ("job_run_seconds", "histogram"),
     # Sessions (server scrape)
     ("sessions_live_count", "gauge"),
+    # Compiled-program cache (server scrape of the replica's compiler)
+    ("compiler_compiles_total", "counter"),
+    ("compiler_cache_bytes", "gauge"),
 )
 
 

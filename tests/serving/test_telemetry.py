@@ -404,6 +404,25 @@ class TestMetricsRoute:
         assert metrics.counter("scoring_requests_total").total() > 0
         assert metrics.counter("scoring_samples_total").total() >= 3
 
+    def test_compiler_metrics_mirror_the_compiler_at_scrape(
+            self, telemetry_server):
+        base = telemetry_server["base"]
+        model_id = telemetry_server["default_id"]
+        compiler = telemetry_server["server"].runtime.registry.compiler
+        samples = telemetry_server["data"][:2].tolist()
+        _request(f"{base}/v1/models/{model_id}/score", {"samples": samples})
+        for _ in range(2):
+            _, body, _ = _request(base + "/v1/metrics")
+            snapshot = json.loads(body)
+            compiles = snapshot["counters"]["compiler_compiles_total"]
+            cache = snapshot["gauges"]["compiler_cache_bytes"]
+            assert compiles == [{"labels": {},
+                                 "value": compiler.stats.compiles}]
+            assert cache == [{"labels": {}, "value": compiler.cache_bytes()}]
+        _, body, _ = _request(base + "/v1/metrics?format=prometheus")
+        assert "# TYPE compiler_compiles_total counter" in body.decode()
+        assert "# TYPE compiler_cache_bytes gauge" in body.decode()
+
 
 class TestRequestTracing:
     def test_request_id_is_minted_and_echoed(self, telemetry_server):
