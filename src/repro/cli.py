@@ -335,7 +335,6 @@ def _build_detector(args: argparse.Namespace) -> QuorumDetector:
         anomaly_fraction_estimate=args.anomaly_fraction,
         backend=args.backend,
         simulation_backend=args.simulation_backend,
-        compile_circuits=not args.no_compile,
         noisy=args.noisy,
         seed=args.seed,
         executor=args.executor,
@@ -352,10 +351,6 @@ def _add_executor_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--jobs", type=int, default=None,
                         help="ensemble workers (default: 1, or the CPU count "
                              "when --executor names a parallel strategy)")
-    parser.add_argument("--no-compile", action="store_true",
-                        help="interpret circuits gate by gate instead of "
-                             "executing cached compiled operator programs "
-                             "(reference path; slower)")
     fused = parser.add_mutually_exclusive_group()
     fused.add_argument("--fused-members", dest="fused_members",
                        action="store_true", default=None,
@@ -472,7 +467,6 @@ def _command_compare(args: argparse.Namespace) -> int:
     detector = QuorumDetector(ensemble_groups=args.ensembles, shots=4096,
                               seed=args.seed,
                               anomaly_fraction_estimate=dataset.anomaly_fraction,
-                              compile_circuits=not args.no_compile,
                               executor=args.executor, n_jobs=_resolve_jobs(args),
                               fused_members=args.fused_members)
     detector.fit(dataset)
@@ -496,7 +490,6 @@ def _command_compare(args: argparse.Namespace) -> int:
 
 def _command_experiment(args: argparse.Namespace) -> int:
     settings = ExperimentSettings(ensemble_groups=args.ensembles, seed=args.seed,
-                                  compile_circuits=not args.no_compile,
                                   executor=args.executor, n_jobs=_resolve_jobs(args),
                                   fused_members=args.fused_members)
     for artifact in args.artifacts:
@@ -899,7 +892,6 @@ def _command_jobs(args: argparse.Namespace) -> int:
 
 def _command_report(args: argparse.Namespace) -> int:
     settings = ExperimentSettings(ensemble_groups=args.ensembles, seed=args.seed,
-                                  compile_circuits=not args.no_compile,
                                   executor=args.executor, n_jobs=_resolve_jobs(args),
                                   fused_members=args.fused_members)
     report = run_full_evaluation(settings, include_noisy=not args.skip_noisy)

@@ -15,6 +15,9 @@ _FEATURE_SCALINGS = ("circuit_sqrt", "dataset_sqrt", "dataset_linear")
 # Mirrors repro.core.parallel.available_executors(); kept literal here because
 # the parallel module imports this one.
 _EXECUTORS = ("auto", "fused", "serial", "threads", "processes")
+# Fields of earlier releases that no longer change behaviour; ``from_dict``
+# drops them so artifacts saved with them still load.
+_RETIRED_FIELDS = ("compile_circuits",)
 
 
 @dataclass(frozen=True)
@@ -63,11 +66,6 @@ class QuorumConfig:
         Which batched numerical kernel implementation the engines run on; one of
         :func:`repro.quantum.backend.available_simulation_backends` (default
         ``"numpy"``).
-    compile_circuits:
-        Lower circuits ahead of time into cached fused dense operators (the
-        :mod:`repro.quantum.compiler` subsystem) instead of interpreting them
-        gate by gate (default ``True``; the interpreted paths remain available
-        as the reference implementation).
     noisy:
         Apply the Brisbane-like noise model (only meaningful for the
         ``density_matrix`` backend).
@@ -109,7 +107,6 @@ class QuorumConfig:
     feature_scaling: str = "circuit_sqrt"
     backend: str = "analytic"
     simulation_backend: str = "numpy"
-    compile_circuits: bool = True
     noisy: bool = False
     gate_level_encoding: bool = False
     seed: Optional[int] = 1234
@@ -146,6 +143,10 @@ class QuorumConfig:
             )
         if self.noisy and self.backend != "density_matrix":
             raise ValueError("noisy simulation requires the density_matrix backend")
+        if self.backend == "statevector" and self.shots is None:
+            raise ValueError("the statevector backend is shot-based; "
+                             "exact probabilities (shots=None) need another "
+                             "backend")
         if self.n_jobs < 1:
             raise ValueError("n_jobs must be at least 1")
         if self.executor not in _EXECUTORS:
@@ -237,12 +238,14 @@ class QuorumConfig:
 
         Unknown keys are rejected loudly: a silently dropped knob in a loaded
         model artifact would change scoring behaviour without any error.
+        Retired fields, which no longer change any score, are dropped.
         """
+        values = {key: value for key, value in payload.items()
+                  if key not in _RETIRED_FIELDS}
         known = {spec.name for spec in fields(cls)}
-        unknown = sorted(set(payload) - known)
+        unknown = sorted(set(values) - known)
         if unknown:
             raise ValueError(f"unknown QuorumConfig fields: {', '.join(unknown)}")
-        values = dict(payload)
         levels = values.get("compression_levels")
         if levels is not None:
             values["compression_levels"] = tuple(int(level) for level in levels)
@@ -260,7 +263,6 @@ class QuorumConfig:
             "bucket_probability": self.bucket_probability,
             "backend": self.backend,
             "simulation_backend": self.simulation_backend,
-            "compile_circuits": self.compile_circuits,
             "noisy": self.noisy,
             "seed": self.seed,
             "n_jobs": self.n_jobs,

@@ -16,17 +16,17 @@ The member lifecycle is split in two:
   (not datasets) to workers.
 * :func:`execute_member` performs the *heavy, data-dependent* work: amplitude
   encoding, one fused ``(levels x samples)`` batched SWAP-test sweep through the
-  engine's ``p1_levels_batch``, and bucket scoring.  For noisy members this
-  sweep is checkpointed: the engine walks the shared circuit prefix (encoding +
-  encoder) exactly once and replays only the per-level suffix from the
-  post-prefix density batch.  With ``config.compile_circuits`` (the default)
-  the member's fixed circuit structure is additionally lowered ahead of time
-  through the shared :mod:`repro.quantum.compiler` cache -- the encoder
-  becomes one fused unitary, the noisy suffix one cached Heisenberg-picture
-  observable per level -- so the sweep executes as a handful of batched
-  matmuls.  The executor strategies in
-  :mod:`repro.core.parallel` call this against shared (zero-copy or
-  shared-memory) dataset views.
+  engine's ``p1_levels_batch``, and bucket scoring.  The member's fixed circuit
+  structure is lowered ahead of time through the shared
+  :mod:`repro.quantum.compiler` cache -- the encoder becomes one fused unitary
+  (or, for noisy members, one cached ``n``-qubit channel), each level's suffix
+  one cached Heisenberg-picture observable -- so the sweep executes as a
+  handful of batched contractions.  Noisy members run the engine's factorized
+  sweep: the state preparation and the encoder are applied once per member,
+  and every level reads its probability from that one pair of ``n``-qubit
+  density batches (see :class:`~repro.core.execution.DensityMatrixEngine`).
+  The executor strategies in :mod:`repro.core.parallel` call this against
+  shared (zero-copy or shared-memory) dataset views.
 
 The plan carries the member RNG *after* its planning draws, so execution
 consumes shot-noise randomness in exactly the order the historical single-pass
@@ -208,29 +208,27 @@ def plan_member(num_samples: int, num_features: int, config: QuorumConfig,
 
 
 def execute_member(normalized_data: np.ndarray, plan: MemberPlan,
-                   config: QuorumConfig,
-                   engine: Optional[SwapTestEngine] = None
-                   ) -> EnsembleMemberResult:
+                   config: QuorumConfig) -> EnsembleMemberResult:
     """Run one planned member over the (shared) normalized dataset.
 
     All compression levels of the member run as ONE fused
     ``(levels x samples)`` batch through the engine's ``p1_levels_batch``.  The
     hot path is the engine's batched linear algebra (GIL-releasing BLAS), which
     is what makes the thread executor in :mod:`repro.core.parallel` effective.
+    The engine draws shot noise from ``plan.rng``, continuing the member's own
+    random stream.
     """
     normalized_data = np.asarray(normalized_data, dtype=float)
     if normalized_data.ndim != 2:
         raise ValueError("normalized_data must be 2-D")
     amplitudes = batch_amplitudes(normalized_data[:, plan.selected_features],
                                   config.num_qubits)
-    if engine is None:
-        engine = make_engine(
-            config.backend, config.shots, rng=plan.rng, noisy=config.noisy,
-            gate_level_encoding=config.gate_level_encoding,
-            num_qubits=config.num_qubits,
-            simulation_backend=config.simulation_backend,
-            compile_circuits=config.compile_circuits,
-        )
+    engine = make_engine(
+        config.backend, config.shots, rng=plan.rng, noisy=config.noisy,
+        gate_level_encoding=config.gate_level_encoding,
+        num_qubits=config.num_qubits,
+        simulation_backend=config.simulation_backend,
+    )
     levels = config.effective_compression_levels
     p1_values = engine.p1_levels_batch(amplitudes, plan.ansatz, levels)
     return _score_member(plan, levels, p1_values, normalized_data.shape[0])
@@ -320,7 +318,6 @@ def execute_member_group(normalized_data: np.ndarray,
             gate_level_encoding=config.gate_level_encoding,
             num_qubits=config.num_qubits,
             simulation_backend=config.simulation_backend,
-            compile_circuits=config.compile_circuits,
         )
     levels = config.effective_compression_levels
     exact_p1 = engine.p1_levels_member_batch(
@@ -338,7 +335,6 @@ def execute_member_group(normalized_data: np.ndarray,
 
 def run_ensemble_member(normalized_data: np.ndarray, config: QuorumConfig,
                         member_index: int, member_seed: int,
-                        engine: Optional[SwapTestEngine] = None,
                         bucket_size: Optional[int] = None) -> EnsembleMemberResult:
     """Plan and execute one ensemble member in a single call.
 
@@ -354,8 +350,6 @@ def run_ensemble_member(normalized_data: np.ndarray, config: QuorumConfig,
     member_seed:
         Seed controlling this member's feature subset, buckets, angles, and shot
         noise.
-    engine:
-        Pre-built execution engine; built from the config when omitted.
     bucket_size:
         Bucket size to use; derived from the config's target probability when
         omitted.
@@ -366,4 +360,4 @@ def run_ensemble_member(normalized_data: np.ndarray, config: QuorumConfig,
     plan = plan_member(normalized_data.shape[0], normalized_data.shape[1],
                        config, member_index, member_seed,
                        bucket_size=bucket_size)
-    return execute_member(normalized_data, plan, config, engine=engine)
+    return execute_member(normalized_data, plan, config)

@@ -19,11 +19,10 @@ compression level?" -- with a different cost/fidelity trade-off:
   ``p1 = Re sum conj(W00[p,q,r,s]) rho_B[p,r] rho_A[q,s]``, where ``W00`` is
   the ancilla-0 block of the level's cached Heisenberg-picture observable.
   No ``2n+1``-qubit density matrix is ever formed.  Noise models that are not
-  gate-local (:attr:`repro.quantum.noise.NoiseModel.is_gate_local`), and
-  ``compile_circuits=False``, take the interpreted full-register walk
-  instead; it and the per-sample :class:`~repro.quantum.simulator
-  .DensityMatrixSimulator` are the oracles the sweep is tested against
-  (<= 1e-12).
+  gate-local (:attr:`repro.quantum.noise.NoiseModel.is_gate_local`) take the
+  full-register reference walk instead; the per-sample
+  :class:`~repro.quantum.simulator.DensityMatrixSimulator` is the oracle the
+  sweep is tested against (<= 1e-12).
 * :class:`StatevectorEngine` runs stochastic trajectories, mimicking how a
   shot-based hardware run (or Qiskit Aer's statevector method with mid-circuit
   resets) behaves.  All samples and all trajectories are evolved together as one
@@ -47,7 +46,6 @@ loop used, so fixed-seed results are unchanged.
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -93,23 +91,24 @@ def apply_shot_noise(exact_p1: np.ndarray, shots: Optional[int],
     return rng.binomial(shots, clipped) / float(shots)
 
 
-class SwapTestEngine(ABC):
+class SwapTestEngine:
     """Interface shared by the three execution strategies.
 
-    Every engine executes *compiled programs* by default: circuits are lowered
-    once through a :class:`~repro.quantum.compiler.CircuitCompiler` (shared
-    LRU cache keyed by circuit signature, noise fingerprint, and backend
-    dtype) into fused dense operators, and the per-sweep work reduces to a few
-    batched matmuls.  ``compile_circuits=False`` selects the gate-by-gate
-    interpreted paths, retained as the reference implementation for the parity
-    test suite.
+    Every engine executes *compiled programs*: circuits are lowered once
+    through a :class:`~repro.quantum.compiler.CircuitCompiler` (shared LRU
+    cache keyed by circuit signature, noise fingerprint, and backend dtype)
+    into fused dense operators, and the per-sweep work reduces to a few
+    batched matmuls.
+
+    :meth:`p1_batch` is the one-level case of :meth:`p1_levels_batch`, which
+    validates its inputs and applies shot noise to the engine's exact
+    :meth:`_exact_levels_batch` sweep.
     """
 
     def __init__(self, shots: Optional[int] = 4096,
                  rng: Optional[np.random.Generator] = None,
                  simulation_backend: Union[str, SimulationBackend, None] = None,
-                 compiler: Optional[CircuitCompiler] = None,
-                 compile_circuits: bool = True
+                 compiler: Optional[CircuitCompiler] = None
                  ) -> None:
         if shots is not None and shots < 1:
             raise ValueError("shots must be positive or None for exact probabilities")
@@ -117,12 +116,11 @@ class SwapTestEngine(ABC):
         self.rng = rng or np.random.default_rng()
         self.backend = get_simulation_backend(simulation_backend)
         self.compiler = compiler if compiler is not None else default_compiler()
-        self.compile_circuits = bool(compile_circuits)
 
-    @abstractmethod
     def p1_batch(self, amplitudes: np.ndarray, ansatz: RandomAutoencoderAnsatz,
                  compression_level: int) -> np.ndarray:
         """SWAP-test P(1) for every row of ``amplitudes`` (shape: samples x 2^n)."""
+        return self.p1_levels_batch(amplitudes, ansatz, (compression_level,))[0]
 
     def p1_levels_batch(self, amplitudes: np.ndarray,
                         ansatz: RandomAutoencoderAnsatz,
@@ -130,17 +128,15 @@ class SwapTestEngine(ABC):
         """SWAP-test P(1) for every (level, sample) pair; shape ``(levels, samples)``.
 
         This is the fused entry point the ensemble executor uses: one call per
-        member covers the member's whole compression sweep.  The default
-        implementation runs the levels sequentially through :meth:`p1_batch`
-        (consuming the shot-noise RNG in exactly the order the historical
-        per-level loop did); engines whose levels share expensive intermediate
-        state override it with a genuinely fused computation.
+        member covers the member's whole compression sweep.  One elementwise
+        binomial call over the ``(levels, samples)`` array draws shot noise
+        bit-identically to the historical sequential per-level calls.
         """
         levels = self._validated_levels(compression_levels, ansatz)
-        return np.stack([
-            self.p1_batch(amplitudes, ansatz, level)
-            for level in levels
-        ])
+        amplitudes = self._validated_amplitudes(amplitudes, ansatz)
+        return self._apply_shot_noise(
+            self._exact_levels_batch(amplitudes, ansatz, levels)
+        )
 
     def p1_levels_member_batch(self, amplitude_stack: np.ndarray,
                                ansatzes: Sequence[RandomAutoencoderAnsatz],
@@ -174,10 +170,10 @@ class SwapTestEngine(ABC):
                             levels: Sequence[int]) -> np.ndarray:
         """Exact (shot-noise-free) ``(levels, samples)`` sweep probabilities.
 
-        Engines that support cross-member fusion expose their exact sweep
-        here (inputs pre-validated); shot-based engines (statevector) consume
-        RNG *during* evolution and therefore cannot separate exact
-        probabilities from noise, so they do not implement it -- the fused
+        Inputs arrive pre-validated.  Shot-based engines (statevector)
+        consume RNG *during* evolution and therefore cannot separate exact
+        probabilities from noise, so they do not implement it and override
+        :meth:`p1_batch` and :meth:`p1_levels_batch` instead -- the fused
         executor never selects them.
         """
         raise NotImplementedError(
@@ -211,25 +207,15 @@ class SwapTestEngine(ABC):
                               ) -> np.ndarray:
         """The group's ``(members, 2^n, 2^n)`` encoder parameter stack.
 
-        With compilation on, the stack is one cached member-stacked compile
-        (per-member fused unitaries are shared with the serial path's cache
-        entries, so results are bitwise identical to serial encoders); with
-        compilation off, the per-ansatz dense unitaries are stacked directly.
+        One cached member-stacked compile; per-member fused unitaries are
+        shared with the serial path's cache entries, so results are bitwise
+        identical to serial encoders.
         """
-        if self.compile_circuits:
-            circuits = [
-                ansatz.encoder_circuit(list(range(ansatz.num_qubits)))
-                for ansatz in ansatzes
-            ]
-            return self.compiler.member_stacked_unitary(circuits, self.backend)
-        return np.stack([ansatz.encoder_unitary() for ansatz in ansatzes])
-
-    def p1_single(self, amplitudes: Sequence[float],
-                  ansatz: RandomAutoencoderAnsatz,
-                  compression_level: int) -> float:
-        """Convenience wrapper for a single sample."""
-        batch = np.asarray(amplitudes, dtype=float).reshape(1, -1)
-        return float(self.p1_batch(batch, ansatz, compression_level)[0])
+        circuits = [
+            ansatz.encoder_circuit(list(range(ansatz.num_qubits)))
+            for ansatz in ansatzes
+        ]
+        return self.compiler.member_stacked_unitary(circuits, self.backend)
 
     def _validated_levels(self, compression_levels: Sequence[int],
                           ansatz: RandomAutoencoderAnsatz) -> list:
@@ -265,7 +251,7 @@ class SwapTestEngine(ABC):
     def _validated_batch(self, amplitudes: np.ndarray,
                          ansatz: RandomAutoencoderAnsatz,
                          compression_level: int) -> np.ndarray:
-        """Common input validation for ``p1_batch`` implementations."""
+        """Input validation of a one-level batch (statevector, the oracle)."""
         if not 0 <= compression_level <= ansatz.num_qubits:
             raise ValueError("compression level out of range")
         return self._validated_amplitudes(amplitudes, ansatz)
@@ -277,19 +263,16 @@ class SwapTestEngine(ABC):
     def _encoder_unitary(self, ansatz: RandomAutoencoderAnsatz) -> np.ndarray:
         """The member's dense encoder ``E`` -- the compiled pure-state program.
 
-        With compilation on, the encoder circuit is fused through the shared
-        compiler cache (one ``2^n x 2^n`` unitary per member, reused across
-        engines, levels, and repeated sweeps); the lowering matches
+        The encoder circuit is fused through the shared compiler cache (one
+        ``2^n x 2^n`` unitary per member, reused across engines, levels, and
+        repeated sweeps); the lowering matches
         :meth:`~repro.algorithms.ansatz.RandomAutoencoderAnsatz.encoder_unitary`
-        operation for operation, so results are bitwise unchanged.  With
-        compilation off, the ansatz's own per-instance cache is used.
+        operation for operation, so results are bitwise equal to it.
         """
-        if self.compile_circuits:
-            return self.compiler.fused_unitary(
-                ansatz.encoder_circuit(list(range(ansatz.num_qubits))),
-                self.backend,
-            )
-        return ansatz.encoder_unitary()
+        return self.compiler.fused_unitary(
+            ansatz.encoder_circuit(list(range(ansatz.num_qubits))),
+            self.backend,
+        )
 
 
 class AnalyticEngine(SwapTestEngine):
@@ -302,21 +285,6 @@ class AnalyticEngine(SwapTestEngine):
     bits ``r``), the overlap reduces to ``sum_s |<phi[:, 0], phi[:, s]>|^2`` --
     a handful of dense inner products per sample.
     """
-
-    def p1_batch(self, amplitudes: np.ndarray, ansatz: RandomAutoencoderAnsatz,
-                 compression_level: int) -> np.ndarray:
-        return self.p1_levels_batch(amplitudes, ansatz, (compression_level,))[0]
-
-    def p1_levels_batch(self, amplitudes: np.ndarray,
-                        ansatz: RandomAutoencoderAnsatz,
-                        compression_levels: Sequence[int]) -> np.ndarray:
-        levels = self._validated_levels(compression_levels, ansatz)
-        amplitudes = self._validated_amplitudes(amplitudes, ansatz)
-        # One elementwise binomial call over the (levels, samples) array draws
-        # bit-identically to the historical sequential per-level calls.
-        return self._apply_shot_noise(
-            self._exact_levels_batch(amplitudes, ansatz, levels)
-        )
 
     def _exact_levels_batch(self, amplitudes: np.ndarray,
                             ansatz: RandomAutoencoderAnsatz,
@@ -380,11 +348,10 @@ class DensityMatrixEngine(SwapTestEngine):
     -- and each level's P(1) is one contraction of the ancilla-0 block of the
     level's cached dual observable against the pair.  Serial and fused
     (member-batched) runs share that sweep, so they agree bitwise.  Models
-    that are not gate-local, and ``compile_circuits=False``, take the
-    interpreted full-register reference walk: the ``2n+1``-qubit prefix walked
-    once per sweep, each level's suffix replayed from that checkpoint.  The
-    per-sample :meth:`p1_per_sample_circuit_level` is the oracle both are
-    tested against.
+    that are not gate-local take the full-register reference walk: the
+    ``2n+1``-qubit prefix walked once per sweep, gate by gate, and each
+    level's suffix replayed from that checkpoint.  The per-sample
+    :meth:`p1_per_sample_circuit_level` is the oracle both are tested against.
     """
 
     def __init__(self, shots: Optional[int] = 4096,
@@ -392,32 +359,12 @@ class DensityMatrixEngine(SwapTestEngine):
                  noise_model: Optional[NoiseModel] = None,
                  gate_level_encoding: bool = False,
                  simulation_backend: Union[str, SimulationBackend, None] = None,
-                 compiler: Optional[CircuitCompiler] = None,
-                 compile_circuits: bool = True
+                 compiler: Optional[CircuitCompiler] = None
                  ) -> None:
         super().__init__(shots, rng, simulation_backend=simulation_backend,
-                         compiler=compiler, compile_circuits=compile_circuits)
+                         compiler=compiler)
         self.noise_model = noise_model
         self.gate_level_encoding = gate_level_encoding
-
-    def p1_batch(self, amplitudes: np.ndarray, ansatz: RandomAutoencoderAnsatz,
-                 compression_level: int) -> np.ndarray:
-        amplitudes = self._validated_batch(amplitudes, ansatz, compression_level)
-        if self.noise_model is not None or self.gate_level_encoding:
-            return self.p1_batch_circuit_level(amplitudes, ansatz,
-                                               compression_level)
-        return self.p1_levels_batch(amplitudes, ansatz, (compression_level,))[0]
-
-    def p1_levels_batch(self, amplitudes: np.ndarray,
-                        ansatz: RandomAutoencoderAnsatz,
-                        compression_levels: Sequence[int]) -> np.ndarray:
-        levels = self._validated_levels(compression_levels, ansatz)
-        amplitudes = self._validated_amplitudes(amplitudes, ansatz)
-        if self.noise_model is not None or self.gate_level_encoding:
-            return self.p1_levels_batch_circuit_level(amplitudes, ansatz, levels)
-        return self._apply_shot_noise(
-            self._exact_levels_batch(amplitudes, ansatz, levels)
-        )
 
     def _exact_levels_batch(self, amplitudes: np.ndarray,
                             ansatz: RandomAutoencoderAnsatz,
@@ -445,13 +392,11 @@ class DensityMatrixEngine(SwapTestEngine):
     def factorizes(self) -> bool:
         """True when circuit-level sweeps run the factorized sweep.
 
-        The factorization needs compiled execution and a noise model whose
-        errors are gate-local (:attr:`repro.quantum.noise.NoiseModel
-        .is_gate_local`); anything else walks the full register with the
-        interpreted reference walker.
+        The factorization needs no noise or a noise model whose errors are
+        gate-local (:attr:`repro.quantum.noise.NoiseModel.is_gate_local`);
+        anything else walks the full register with the reference walker.
         """
-        return self.compile_circuits and (self.noise_model is None
-                                          or self.noise_model.is_gate_local)
+        return self.noise_model is None or self.noise_model.is_gate_local
 
     def p1_levels_member_batch(self, amplitude_stack: np.ndarray,
                                ansatzes: Sequence[RandomAutoencoderAnsatz],
@@ -562,34 +507,15 @@ class DensityMatrixEngine(SwapTestEngine):
         return self.compiler.member_stacked_dual_observable(
             suffixes, self.noise_model, ancilla, self.backend)
 
-    def p1_levels_batch_circuit_level(self, amplitudes: np.ndarray,
-                                      ansatz: RandomAutoencoderAnsatz,
-                                      compression_levels: Sequence[int]
-                                      ) -> np.ndarray:
-        """Fused multi-level sweep of the noisy (or gate-level) circuit.
-
-        Runs :meth:`_factorized_sweep` when the engine factorizes, and the
-        checkpointed full-register reference walk otherwise; either way the
-        shot-noise RNG is consumed in the exact level-major order the
-        historical per-level loop used.
-        """
-        levels = self._validated_levels(compression_levels, ansatz)
-        amplitudes = self._validated_amplitudes(amplitudes, ansatz)
-        # One elementwise binomial call over the (levels, samples) array draws
-        # bit-identically to the historical sequential per-level calls.
-        return self._apply_shot_noise(
-            self._circuit_level_sweep(amplitudes, ansatz, levels)
-        )
-
     def _circuit_level_sweep(self, amplitudes: np.ndarray,
                              ansatz: RandomAutoencoderAnsatz,
                              levels: Sequence[int]) -> np.ndarray:
         """Exact ``(levels, samples)`` probabilities of one member's sweep.
 
-        The factorized sweep with one member, or -- for interpreted mode and
-        noise models that are not gate-local -- the reference walk: the
-        level-independent ``2n+1``-qubit prefix walked once, gate by gate,
-        and each level's suffix replayed forward from that checkpoint.
+        The factorized sweep with one member, or -- for noise models that
+        are not gate-local -- the reference walk: the level-independent
+        ``2n+1``-qubit prefix walked once, gate by gate, and each level's
+        suffix replayed forward from that checkpoint.
         """
         if self.factorizes:
             return self._factorized_sweep(amplitudes[None], [ansatz],
@@ -614,40 +540,6 @@ class DensityMatrixEngine(SwapTestEngine):
                 rhos, ancilla
             )
         return exact_p1
-
-    def p1_batch_circuit_level(self, amplitudes: np.ndarray,
-                               ansatz: RandomAutoencoderAnsatz,
-                               compression_level: int) -> np.ndarray:
-        """The whole batch at ONE compression level.
-
-        With compilation on this is the one-level sweep of
-        :meth:`_circuit_level_sweep`.  With ``compile_circuits=False`` every
-        sample's full circuit walks through one batched interpreted
-        :class:`~repro.quantum.simulator.BatchedDensityMatrixSimulator` walk
-        (the pre-checkpoint regression reference).
-        """
-        amplitudes = self._validated_batch(amplitudes, ansatz, compression_level)
-        if self.compile_circuits:
-            # The same sweep as `p1_levels_batch`, so a per-level loop over
-            # this method stays bitwise identical to one fused call.
-            exact_p1 = self._circuit_level_sweep(amplitudes, ansatz,
-                                                 [compression_level])[0]
-            return self._apply_shot_noise(exact_p1)
-        circuits = [
-            build_autoencoder_circuit(
-                row, ansatz, compression_level,
-                gate_level_encoding=self.gate_level_encoding, measure=False,
-            )
-            for row in amplitudes
-        ]
-        walker = BatchedDensityMatrixSimulator(noise_model=self.noise_model,
-                                               backend=self.backend,
-                                               compiler=self.compiler,
-                                               compile_programs=False)
-        rhos = walker.evolve_batch(circuits)
-        ancilla = 2 * ansatz.num_qubits
-        exact_p1 = self.backend.probability_one_density_batch(rhos, ancilla)
-        return self._apply_shot_noise(exact_p1)
 
     def p1_per_sample_circuit_level(self, amplitudes: np.ndarray,
                                     ansatz: RandomAutoencoderAnsatz,
@@ -691,13 +583,12 @@ class StatevectorEngine(SwapTestEngine):
                  rng: Optional[np.random.Generator] = None,
                  max_trajectories: Optional[int] = 64,
                  simulation_backend: Union[str, SimulationBackend, None] = None,
-                 compiler: Optional[CircuitCompiler] = None,
-                 compile_circuits: bool = True
+                 compiler: Optional[CircuitCompiler] = None
                  ) -> None:
         if shots is None:
             raise ValueError("the statevector engine is shot-based; provide shots")
         super().__init__(shots, rng, simulation_backend=simulation_backend,
-                         compiler=compiler, compile_circuits=compile_circuits)
+                         compiler=compiler)
         self.max_trajectories = max_trajectories
 
     def p1_batch(self, amplitudes: np.ndarray, ansatz: RandomAutoencoderAnsatz,
@@ -725,6 +616,16 @@ class StatevectorEngine(SwapTestEngine):
                 trajectories, shots_per_trajectory,
             )
         return results
+
+    def p1_levels_batch(self, amplitudes: np.ndarray,
+                        ansatz: RandomAutoencoderAnsatz,
+                        compression_levels: Sequence[int]) -> np.ndarray:
+        """The levels run sequentially through :meth:`p1_batch`."""
+        levels = self._validated_levels(compression_levels, ansatz)
+        return np.stack([
+            self.p1_batch(amplitudes, ansatz, level)
+            for level in levels
+        ])
 
     def _p1_chunk(self, amplitudes: np.ndarray,
                   ansatz: RandomAutoencoderAnsatz, compression_level: int,
@@ -767,7 +668,6 @@ def make_engine(backend: str, shots: Optional[int],
                 gate_level_encoding: bool = False,
                 num_qubits: int = 3,
                 simulation_backend: Union[str, SimulationBackend, None] = None,
-                compile_circuits: bool = True,
                 compiler: Optional[CircuitCompiler] = None
                 ) -> SwapTestEngine:
     """Factory used by the detector to build the configured engine.
@@ -775,10 +675,9 @@ def make_engine(backend: str, shots: Optional[int],
     ``backend`` selects the *engine strategy* (``analytic`` / ``density_matrix``
     / ``statevector``); ``simulation_backend`` selects the *numerical kernel
     implementation* those engines run on (see :mod:`repro.quantum.backend`);
-    ``compile_circuits`` selects between compiled-program execution (default)
-    and the gate-by-gate interpreted reference paths; ``compiler`` overrides
-    the process-wide shared compiled-program cache (the online scorer passes a
-    private instance in tests so cache counters can be asserted in isolation).
+    ``compiler`` overrides the process-wide shared compiled-program cache (the
+    online scorer passes a private instance in tests so cache counters can be
+    asserted in isolation).
     """
     backend = backend.lower()
     if backend == "analytic":
@@ -786,8 +685,7 @@ def make_engine(backend: str, shots: Optional[int],
             raise ValueError("the analytic engine cannot model hardware noise")
         return AnalyticEngine(shots=shots, rng=rng,
                               simulation_backend=simulation_backend,
-                              compiler=compiler,
-                              compile_circuits=compile_circuits)
+                              compiler=compiler)
     if backend == "density_matrix":
         noise_model = None
         if noisy:
@@ -795,13 +693,11 @@ def make_engine(backend: str, shots: Optional[int],
         return DensityMatrixEngine(shots=shots, rng=rng, noise_model=noise_model,
                                    gate_level_encoding=gate_level_encoding or noisy,
                                    simulation_backend=simulation_backend,
-                                   compiler=compiler,
-                                   compile_circuits=compile_circuits)
+                                   compiler=compiler)
     if backend == "statevector":
         if noisy:
             raise ValueError("the statevector engine cannot model hardware noise")
-        return StatevectorEngine(shots=shots or 1024, rng=rng,
+        return StatevectorEngine(shots=shots, rng=rng,
                                  simulation_backend=simulation_backend,
-                                 compiler=compiler,
-                                 compile_circuits=compile_circuits)
+                                 compiler=compiler)
     raise ValueError(f"unknown backend {backend!r}")

@@ -232,7 +232,6 @@ class FusedExecutor(ExecutorStrategy):
             gate_level_encoding=config.gate_level_encoding,
             num_qubits=config.num_qubits,
             simulation_backend=config.simulation_backend,
-            compile_circuits=config.compile_circuits,
         )
         results: List[Optional[EnsembleMemberResult]] = [None] * len(plans)
         for indices in groups.values():

@@ -62,10 +62,6 @@ class ExperimentSettings:
         without editing every experiment module.
     n_jobs:
         Ensemble workers (defaults to ``QUORUM_N_JOBS``; 1 = serial).
-    compile_circuits:
-        Execute compiled operator programs (default) or the gate-by-gate
-        interpreted reference paths; defaults to the ``QUORUM_COMPILE``
-        environment variable (set it to ``0`` to interpret).
     fused_members:
         Cross-member fused execution (``True``/``False``/``None`` = follow
         the executor choice); defaults to the ``QUORUM_FUSED_MEMBERS``
@@ -85,8 +81,6 @@ class ExperimentSettings:
         default_factory=lambda: os.environ.get("QUORUM_EXECUTOR", "auto"))
     n_jobs: int = field(
         default_factory=lambda: int(os.environ.get("QUORUM_N_JOBS", "1")))
-    compile_circuits: bool = field(
-        default_factory=lambda: os.environ.get("QUORUM_COMPILE", "1") != "0")
     fused_members: Optional[bool] = field(
         default_factory=lambda: (
             None if os.environ.get("QUORUM_FUSED_MEMBERS") in (None, "")
@@ -104,7 +98,6 @@ class ExperimentSettings:
             seed=self.seed,
             executor=self.executor,
             n_jobs=self.n_jobs,
-            compile_circuits=self.compile_circuits,
             fused_members=self.fused_members,
         )
         return base.with_overrides(**overrides) if overrides else base

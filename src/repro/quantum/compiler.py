@@ -37,9 +37,10 @@ rounds never recompiles.  :data:`default_compiler` returns the process-wide
 shared instance; `QuorumCircuitFactory`, the execution engines, and the
 batched simulator all share it unless given their own.
 
-The gate-by-gate interpreters remain in place as the reference path (select
-them with ``compile_circuits=False`` / ``compile_programs=False``); the parity
-test suite asserts compiled and interpreted results agree to ``<= 1e-10``.
+The gate-by-gate interpreters remain in place as the reference path
+(``BatchedDensityMatrixSimulator(compile_programs=False)`` and the per-sample
+:class:`~repro.quantum.simulator.DensityMatrixSimulator`); the parity test
+suite asserts compiled and interpreted results agree to ``<= 1e-10``.
 """
 
 from __future__ import annotations

@@ -502,8 +502,7 @@ class BatchedDensityMatrixSimulator:
     gate-and-noise superoperator per column.  The factorized sweep simulates
     registers A and B of the Quorum circuit separately (valid for gate-local
     noise), so the full-register walks below are off the engine's default
-    path: they serve noise models that are not gate-local, interpreted mode,
-    and the tests.
+    path: they serve noise models that are not gate-local and the tests.
 
     Checkpoint/replay
     -----------------

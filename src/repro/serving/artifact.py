@@ -326,7 +326,6 @@ class ModelArtifact:
             "num_features": self.num_features,
             "backend": self.config.backend,
             "simulation_backend": self.config.simulation_backend,
-            "compile_circuits": self.config.compile_circuits,
             "noisy": self.config.noisy,
             "shots": self.config.shots,
         }

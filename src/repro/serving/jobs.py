@@ -56,7 +56,7 @@ TERMINAL_STATES = ("succeeded", "failed", "cancelled")
 #: submit time so a typo fails fast instead of fitting a default detector.
 FIT_CONFIG_KEYS = (
     "ensemble_groups", "shots", "seed", "num_qubits", "backend",
-    "simulation_backend", "compile_circuits", "noisy", "bucket_probability",
+    "simulation_backend", "noisy", "bucket_probability",
     "anomaly_fraction_estimate",
 )
 

@@ -44,9 +44,9 @@ import numpy as np
 
 from repro.serving.artifact import ModelArtifact, load_model
 from repro.serving.proxy import RoundRobinProxy
+from repro.serving.telemetry import percentile
 
 __all__ = [
-    "percentile",
     "summarize_latencies",
     "run_closed_loop",
     "ReplicaProcess",
@@ -75,20 +75,6 @@ MAX_SUGGESTED_BATCH = 4096
 
 
 # --------------------------------------------------------------------- metrics
-def percentile(sorted_values: Sequence[float], q: float) -> float:
-    """Linear-interpolated percentile of an ascending-sorted sequence."""
-    if not sorted_values:
-        raise ValueError("cannot take a percentile of no samples")
-    if not 0.0 <= q <= 100.0:
-        raise ValueError(f"percentile {q} outside [0, 100]")
-    position = (len(sorted_values) - 1) * q / 100.0
-    lower = int(position)
-    upper = min(lower + 1, len(sorted_values) - 1)
-    fraction = position - lower
-    return (sorted_values[lower] * (1.0 - fraction)
-            + sorted_values[upper] * fraction)
-
-
 def summarize_latencies(latencies_s: Sequence[float]) -> Dict[str, float]:
     """``{mean, p50, p95, p99, max}`` in milliseconds."""
     ordered = sorted(latencies_s)

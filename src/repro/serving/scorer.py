@@ -143,7 +143,7 @@ class OnlineScorer:
     ----------
     artifact:
         A loaded :class:`~repro.serving.artifact.ModelArtifact`.
-    simulation_backend / compile_circuits / fused_members:
+    simulation_backend / fused_members:
         Optional overrides of the artifact's config (e.g. score on a different
         kernel backend than the model was fitted on, or force cross-member
         fused execution on/off regardless of the fitted executor choice).
@@ -167,7 +167,6 @@ class OnlineScorer:
 
     def __init__(self, artifact: ModelArtifact,
                  simulation_backend: Optional[str] = None,
-                 compile_circuits: Optional[bool] = None,
                  fused_members: Optional[bool] = None,
                  compiler: Optional[CircuitCompiler] = None,
                  max_batch_samples: int = 512,
@@ -181,8 +180,6 @@ class OnlineScorer:
         overrides: Dict[str, object] = {}
         if simulation_backend is not None:
             overrides["simulation_backend"] = simulation_backend
-        if compile_circuits is not None:
-            overrides["compile_circuits"] = compile_circuits
         if fused_members is not None:
             overrides["fused_members"] = fused_members
         if overrides:
@@ -274,7 +271,6 @@ class OnlineScorer:
             gate_level_encoding=config.gate_level_encoding,
             num_qubits=config.num_qubits,
             simulation_backend=config.simulation_backend,
-            compile_circuits=config.compile_circuits,
             compiler=self.compiler,
         )
 

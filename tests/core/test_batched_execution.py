@@ -49,7 +49,8 @@ class TestBatchedDensityMatrixEngine:
         batch = make_batch(num_samples=5, seed=2)
         engine = DensityMatrixEngine(shots=None)
         batched = engine.p1_batch(batch, ansatz, level)
-        circuit_level = engine.p1_batch_circuit_level(batch, ansatz, level)
+        circuit_level = engine.p1_per_sample_circuit_level(batch, ansatz,
+                                                           level)
         assert np.allclose(batched, circuit_level, atol=1e-10)
 
     def test_noisy_runs_use_the_circuit_path(self):

@@ -1,13 +1,13 @@
-"""Regression suite for the prefix-checkpointed noisy level sweep.
+"""Regression suite for the fused noisy level sweep and checkpoint/replay.
 
-The checkpointed walk (`DensityMatrixEngine.p1_levels_batch_circuit_level`)
-must be indistinguishable from the two slower references it replaced:
+The fused sweep (`DensityMatrixEngine.p1_levels_batch` with noise or
+gate-level encoding) must be indistinguishable from two references:
 
 * `p1_per_sample_circuit_level` -- one :class:`DensityMatrixSimulator` walk per
   sample per level (the ground truth, <= 1e-10);
-* the pre-checkpoint per-level loop over `p1_batch_circuit_level` -- including
-  **bitwise** identity of the shot-noise RNG stream, so fixed-seed detector
-  scores are unchanged by the checkpoint.
+* a per-level loop of one-level `p1_batch` calls -- including **bitwise**
+  identity of the shot-noise RNG stream, so fixed-seed detector scores do not
+  depend on how the levels are batched.
 
 Both pins are exercised across noise models, ``gate_level_encoding``, and both
 numpy simulation backends, plus direct coverage of the checkpoint/replay API on
@@ -55,19 +55,16 @@ NOISE_MODELS = {
 
 
 class TestCheckpointedSweepAgainstReferences:
-    @pytest.mark.parametrize("compile_circuits", [True, False])
     @pytest.mark.parametrize("noise_name", sorted(NOISE_MODELS))
     @pytest.mark.parametrize("gate_level", [False, True])
-    def test_matches_per_sample_reference(self, noise_name, gate_level,
-                                          compile_circuits):
+    def test_matches_per_sample_reference(self, noise_name, gate_level):
         ansatz = RandomAutoencoderAnsatz(2, seed=41)
         batch = make_batch(seed=1)
         noise = NOISE_MODELS[noise_name](5)
         if noise is None and not gate_level:
             pytest.skip("noiseless initialize path never enters the circuit walk")
         engine = DensityMatrixEngine(shots=None, noise_model=noise,
-                                     gate_level_encoding=gate_level,
-                                     compile_circuits=compile_circuits)
+                                     gate_level_encoding=gate_level)
         levels = [0, 1, 2]
         checkpointed = engine.p1_levels_batch(batch, ansatz, levels)
         reference = np.stack([
@@ -77,43 +74,24 @@ class TestCheckpointedSweepAgainstReferences:
         assert checkpointed.shape == (3, batch.shape[0])
         assert np.allclose(checkpointed, reference, atol=1e-10)
 
-    @pytest.mark.parametrize("compile_circuits", [True, False])
     @pytest.mark.parametrize("backend_name", ["numpy", "numpy-float32"])
     @pytest.mark.parametrize("noise_name", sorted(NOISE_MODELS))
-    def test_matches_pre_checkpoint_per_level_loop(self, backend_name,
-                                                   noise_name,
-                                                   compile_circuits):
+    def test_matches_per_level_loop(self, backend_name, noise_name):
         ansatz = RandomAutoencoderAnsatz(2, seed=42)
         batch = make_batch(seed=2)
         noise = NOISE_MODELS[noise_name](5)
         engine = DensityMatrixEngine(shots=None, noise_model=noise,
                                      gate_level_encoding=True,
-                                     simulation_backend=backend_name,
-                                     compile_circuits=compile_circuits)
+                                     simulation_backend=backend_name)
         levels = [0, 1, 2]
-        checkpointed = engine.p1_levels_batch(batch, ansatz, levels)
+        fused = engine.p1_levels_batch(batch, ansatz, levels)
         per_level = np.stack([
-            engine.p1_batch_circuit_level(batch, ansatz, level)
+            engine.p1_batch(batch, ansatz, level)
             for level in levels
         ])
-        # The kernels are row-independent, so splitting the walk at the
-        # checkpoint must not change any sample's arithmetic -- on either
-        # precision tier, compiled or interpreted.
-        assert np.allclose(checkpointed, per_level, atol=1e-10)
-
-    def test_compiled_sweep_matches_interpreted_sweep(self):
-        """The compiled fast path and the gate-by-gate reference path are the
-        same computation up to operator-fusion reassociation (<= 1e-10)."""
-        ansatz = RandomAutoencoderAnsatz(2, seed=45)
-        batch = make_batch(seed=6)
-        noise = FakeBrisbane(5).to_noise_model()
-        levels = [0, 1, 2]
-        kwargs = dict(shots=None, noise_model=noise, gate_level_encoding=True)
-        compiled = DensityMatrixEngine(**kwargs)
-        interpreted = DensityMatrixEngine(compile_circuits=False, **kwargs)
-        assert np.allclose(compiled.p1_levels_batch(batch, ansatz, levels),
-                           interpreted.p1_levels_batch(batch, ansatz, levels),
-                           atol=1e-10)
+        # The kernels are row-independent, so sweeping the levels together
+        # must not change any sample's arithmetic -- on either precision tier.
+        assert np.allclose(fused, per_level, atol=1e-10)
 
     def test_shot_noise_rng_stream_is_bitwise_identical(self):
         """The fused sweep consumes the binomial stream in the exact level-major
@@ -130,7 +108,7 @@ class TestCheckpointedSweepAgainstReferences:
                                           gate_level_encoding=True,
                                           rng=np.random.default_rng(11))
         looped = np.stack([
-            loop_engine.p1_batch_circuit_level(batch, ansatz, level)
+            loop_engine.p1_batch(batch, ansatz, level)
             for level in levels
         ])
         assert np.array_equal(fused, looped)

@@ -33,6 +33,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             QuorumConfig(**overrides)
 
+    def test_statevector_backend_needs_shots(self):
+        with pytest.raises(ValueError, match="shot-based"):
+            QuorumConfig(backend="statevector", shots=None)
+        assert QuorumConfig(backend="statevector", shots=64).shots == 64
+
     def test_noisy_with_density_matrix_backend_is_valid(self):
         config = QuorumConfig(backend="density_matrix", noisy=True)
         assert config.noisy
@@ -80,8 +85,7 @@ class TestDictRoundTrip:
     def test_to_dict_from_dict_round_trips_every_field(self):
         config = QuorumConfig(num_qubits=4, ensemble_groups=7, shots=None,
                               compression_levels=(1, 3), seed=5,
-                              executor="threads", n_jobs=2,
-                              compile_circuits=False)
+                              executor="threads", n_jobs=2)
         assert QuorumConfig.from_dict(config.to_dict()) == config
 
     def test_to_dict_is_json_friendly(self):
@@ -90,6 +94,12 @@ class TestDictRoundTrip:
         payload = QuorumConfig(compression_levels=(1, 2)).to_dict()
         restored = QuorumConfig.from_dict(json.loads(json.dumps(payload)))
         assert restored.compression_levels == (1, 2)
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_from_dict_drops_the_retired_compile_switch(self, value):
+        payload = QuorumConfig(seed=3).to_dict()
+        payload["compile_circuits"] = value
+        assert QuorumConfig.from_dict(payload) == QuorumConfig(seed=3)
 
     def test_from_dict_rejects_unknown_fields(self):
         payload = QuorumConfig().to_dict()

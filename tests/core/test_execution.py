@@ -9,6 +9,7 @@ from repro.core.execution import (
     AnalyticEngine,
     DensityMatrixEngine,
     StatevectorEngine,
+    apply_shot_noise,
     make_engine,
 )
 from repro.quantum.backends import FakeBrisbane
@@ -54,13 +55,6 @@ class TestAnalyticEngine:
             batch, ansatz, 1)
         assert np.mean(np.abs(many - exact)) < np.mean(np.abs(few - exact))
 
-    def test_single_sample_helper(self):
-        engine = AnalyticEngine(shots=None)
-        ansatz = RandomAutoencoderAnsatz(3, seed=5)
-        batch = make_batch(num_samples=1)
-        assert engine.p1_single(batch[0], ansatz, 1) == pytest.approx(
-            engine.p1_batch(batch, ansatz, 1)[0])
-
     def test_rejects_bad_shapes(self):
         engine = AnalyticEngine(shots=None)
         ansatz = RandomAutoencoderAnsatz(3, seed=6)
@@ -74,6 +68,54 @@ class TestAnalyticEngine:
     def test_invalid_shots_raise(self):
         with pytest.raises(ValueError):
             AnalyticEngine(shots=0)
+
+
+ENGINE_FACTORIES = {
+    "analytic": lambda shots, rng: AnalyticEngine(shots=shots, rng=rng),
+    "density_matrix": lambda shots, rng: DensityMatrixEngine(
+        shots=shots, rng=rng),
+    "density_matrix_gate_level": lambda shots, rng: DensityMatrixEngine(
+        shots=shots, rng=rng, gate_level_encoding=True),
+    "density_matrix_noisy": lambda shots, rng: DensityMatrixEngine(
+        shots=shots, rng=rng, noise_model=FakeBrisbane(5).to_noise_model(),
+        gate_level_encoding=True),
+}
+
+
+@pytest.mark.parametrize("engine_name", sorted(ENGINE_FACTORIES))
+class TestSharedLevelsPath:
+    """Analytic and density-matrix engines share one validate -> exact sweep
+    -> shot-noise path; these pin that path for every configuration."""
+
+    def test_p1_batch_is_the_one_level_case(self, engine_name):
+        factory = ENGINE_FACTORIES[engine_name]
+        ansatz = RandomAutoencoderAnsatz(2, seed=7)
+        batch = make_batch(num_samples=5, num_qubits=2, seed=7)
+        single = factory(512, np.random.default_rng(3)).p1_batch(
+            batch, ansatz, 1)
+        levels = factory(512, np.random.default_rng(3)).p1_levels_batch(
+            batch, ansatz, (1,))
+        assert levels.shape == (1, 5)
+        assert np.array_equal(single, levels[0])
+
+    def test_shot_noise_is_drawn_over_the_exact_sweep(self, engine_name):
+        factory = ENGINE_FACTORIES[engine_name]
+        ansatz = RandomAutoencoderAnsatz(2, seed=8)
+        batch = make_batch(num_samples=6, num_qubits=2, seed=8)
+        exact = factory(None, None).p1_levels_batch(batch, ansatz, (0, 1, 2))
+        sampled = factory(256, np.random.default_rng(4)).p1_levels_batch(
+            batch, ansatz, (0, 1, 2))
+        expected = apply_shot_noise(exact, 256, np.random.default_rng(4))
+        assert np.array_equal(sampled, expected)
+
+    def test_single_row_matches_its_batch_row(self, engine_name):
+        engine = ENGINE_FACTORIES[engine_name](None, None)
+        ansatz = RandomAutoencoderAnsatz(2, seed=9)
+        batch = make_batch(num_samples=4, num_qubits=2, seed=9)
+        whole = engine.p1_levels_batch(batch, ansatz, (1, 2))
+        for row in range(batch.shape[0]):
+            alone = engine.p1_levels_batch(batch[row:row + 1], ansatz, (1, 2))
+            assert np.max(np.abs(alone[:, 0] - whole[:, row])) <= 1e-12
 
 
 class TestEngineCrossValidation:

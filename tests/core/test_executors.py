@@ -228,7 +228,7 @@ class TestBatchedNoisyWalk:
         batch = make_batch(num_samples=5, num_qubits=2, seed=4)
         engine = DensityMatrixEngine(shots=None,
                                      gate_level_encoding=gate_level)
-        batched = engine.p1_batch_circuit_level(batch, ansatz, level)
+        batched = engine.p1_batch(batch, ansatz, level)
         per_sample = engine.p1_per_sample_circuit_level(batch, ansatz, level)
         assert np.allclose(batched, per_sample, atol=1e-10)
 
@@ -241,7 +241,7 @@ class TestBatchedNoisyWalk:
         noise = FakeBrisbane(5).to_noise_model()
         engine = DensityMatrixEngine(shots=None, noise_model=noise,
                                      gate_level_encoding=gate_level)
-        batched = engine.p1_batch_circuit_level(batch, ansatz, 1)
+        batched = engine.p1_batch(batch, ansatz, 1)
         per_sample = engine.p1_per_sample_circuit_level(batch, ansatz, 1)
         assert np.allclose(batched, per_sample, atol=1e-10)
 
@@ -271,7 +271,7 @@ class TestBatchedNoisyWalk:
         batch[1] = sparse
         batch[3] = sparse
         engine = DensityMatrixEngine(shots=None, gate_level_encoding=True)
-        batched = engine.p1_batch_circuit_level(batch, ansatz, 1)
+        batched = engine.p1_batch(batch, ansatz, 1)
         per_sample = engine.p1_per_sample_circuit_level(batch, ansatz, 1)
         assert np.allclose(batched, per_sample, atol=1e-10)
 

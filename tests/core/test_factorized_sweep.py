@@ -263,18 +263,6 @@ class TestRouting:
         assert np.max(np.abs(routed - reference)) <= ORACLE_TOLERANCE
         assert np.array_equal(fused[0], routed)
 
-    def test_interpreted_mode_takes_the_reference_walk(self,
-                                                       refuse_factorized):
-        engine = DensityMatrixEngine(
-            shots=None, noise_model=FakeBrisbane(5).to_noise_model(),
-            gate_level_encoding=True, compile_circuits=False)
-        assert not engine.factorizes
-        ansatz = RandomAutoencoderAnsatz(2, seed=6)
-        amplitudes = _rows(2, 3, seed=6)
-        routed = engine.p1_levels_batch(amplitudes, ansatz, [1, 2])
-        reference = _oracle(engine, amplitudes, ansatz, [1, 2])
-        assert np.max(np.abs(routed - reference)) <= ORACLE_TOLERANCE
-
 
 class TestFusedMatchesSerial:
     @pytest.mark.parametrize("gate_level", [True, False])

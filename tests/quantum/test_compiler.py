@@ -3,7 +3,8 @@
 The compiler may reassociate operator products (fusing gate runs into dense
 blocks, pulling the readout projector back through the channel adjoint), but it
 must never change *what* is computed: every compiled artifact is checked
-against the gate-by-gate interpreted reference to ``<= 1e-10`` on the
+against a gate-by-gate interpreted reference (for the engines, the per-sample
+density-matrix oracle) to ``<= 1e-10`` on the
 ``complex128`` backend (and to single precision on ``numpy-float32``), across
 noise models, random ansatz/level combinations, and Hypothesis-driven random
 circuits.  The LRU cache is pinned by compile counters, and the shot-noise RNG
@@ -43,6 +44,12 @@ seeds = st.integers(min_value=0, max_value=10_000)
 
 #: (backend name, tolerance of compiled-vs-interpreted agreement).
 BACKENDS = [("numpy", 1e-10), ("numpy-float32", 5e-5)]
+
+
+def per_sample_oracle(engine, batch, ansatz, levels):
+    """``(levels, samples)`` from the per-sample density-matrix walk."""
+    return np.stack([engine.p1_per_sample_circuit_level(batch, ansatz, level)
+                     for level in levels])
 
 
 def make_batch(num_samples=5, num_qubits=2, seed=0):
@@ -248,8 +255,8 @@ class TestEngineParity:
     @settings(max_examples=10, deadline=None)
     @given(seed=seeds, level_seed=seeds)
     def test_random_ansatz_level_combinations(self, seed, level_seed):
-        """Hypothesis: compiled and interpreted noisy engines agree to 1e-10
-        for random ansatz draws and random level subsets."""
+        """Hypothesis: the compiled noisy engine agrees with the per-sample
+        oracle to 1e-10 for random ansatz draws and random level subsets."""
         rng = np.random.default_rng(level_seed)
         ansatz = RandomAutoencoderAnsatz(2, num_layers=int(rng.integers(1, 3)),
                                          seed=seed)
@@ -258,10 +265,9 @@ class TestEngineParity:
         batch = make_batch(num_samples=4, seed=seed)
         noise = FakeBrisbane(5).to_noise_model()
         kwargs = dict(shots=None, noise_model=noise, gate_level_encoding=True)
-        compiled = DensityMatrixEngine(compiler=CircuitCompiler(), **kwargs)
-        interpreted = DensityMatrixEngine(compile_circuits=False, **kwargs)
-        assert np.allclose(compiled.p1_levels_batch(batch, ansatz, levels),
-                           interpreted.p1_levels_batch(batch, ansatz, levels),
+        engine = DensityMatrixEngine(compiler=CircuitCompiler(), **kwargs)
+        assert np.allclose(engine.p1_levels_batch(batch, ansatz, levels),
+                           per_sample_oracle(engine, batch, ansatz, levels),
                            atol=1e-10)
 
     @pytest.mark.parametrize("backend_name,tolerance", BACKENDS)
@@ -271,21 +277,25 @@ class TestEngineParity:
         noise = FakeBrisbane(5).to_noise_model()
         kwargs = dict(shots=None, noise_model=noise, gate_level_encoding=True,
                       simulation_backend=backend_name)
-        compiled = DensityMatrixEngine(compiler=CircuitCompiler(), **kwargs)
-        interpreted = DensityMatrixEngine(compile_circuits=False, **kwargs)
+        engine = DensityMatrixEngine(compiler=CircuitCompiler(), **kwargs)
         levels = [0, 1, 2]
-        assert np.allclose(compiled.p1_levels_batch(batch, ansatz, levels),
-                           interpreted.p1_levels_batch(batch, ansatz, levels),
+        assert np.allclose(engine.p1_levels_batch(batch, ansatz, levels),
+                           per_sample_oracle(engine, batch, ansatz, levels),
                            atol=tolerance)
 
     def test_analytic_engine_is_bitwise_unchanged_by_compilation(self):
+        """The compiled analytic engine reproduces, bit for bit, the
+        reduced-density formula evaluated with the ansatz's own unitary."""
         ansatz = RandomAutoencoderAnsatz(3, seed=33)
         batch = make_batch(num_samples=6, num_qubits=3, seed=5)
-        compiled = AnalyticEngine(shots=None, compiler=CircuitCompiler())
-        interpreted = AnalyticEngine(shots=None, compile_circuits=False)
+        engine = AnalyticEngine(shots=None, compiler=CircuitCompiler())
+        backend = engine.backend
+        phi = backend.apply_unitary_batch(backend.as_states(batch),
+                                          ansatz.encoder_unitary())
+        overlap = backend.compression_overlap_levels(phi, [0, 1, 2])
         assert np.array_equal(
-            compiled.p1_levels_batch(batch, ansatz, [0, 1, 2]),
-            interpreted.p1_levels_batch(batch, ansatz, [0, 1, 2]),
+            engine.p1_levels_batch(batch, ansatz, [0, 1, 2]),
+            np.clip((1.0 - overlap) / 2.0, 0.0, 1.0),
         )
 
     def test_compiled_shot_noise_rng_stream_is_bitwise_pinned(self):
@@ -306,7 +316,7 @@ class TestEngineParity:
             compiler=compiler, rng=np.random.default_rng(17),
         )
         looped = np.stack([
-            loop_engine.p1_batch_circuit_level(batch, ansatz, level)
+            loop_engine.p1_batch(batch, ansatz, level)
             for level in levels
         ])
         assert np.array_equal(fused, looped)

@@ -156,6 +156,9 @@ class TestValidation:
         ({"kind": "fit", "params": {"samples": [[1]],
                                     "config": {"learning_rate": 0.1}}},
          "config key"),
+        ({"kind": "fit", "params": {"samples": [[1]],
+                                    "config": {"compile_circuits": False}}},
+         "config key"),
         ({"kind": "fit", "params": {"samples": [[1]], "register_as": ""}},
          "register_as"),
     ])

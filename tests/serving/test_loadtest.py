@@ -15,7 +15,6 @@ from repro.serving.loadtest import (
     ReplicaFleet,
     ReplicaSpawnError,
     find_knee,
-    percentile,
     run_closed_loop,
     run_loadtest,
     spawn_replica,
@@ -23,6 +22,7 @@ from repro.serving.loadtest import (
     summarize_latencies,
 )
 from repro.serving.server import build_server
+from repro.serving.telemetry import percentile
 
 
 @pytest.fixture(scope="module")

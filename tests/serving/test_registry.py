@@ -19,8 +19,7 @@ def _toy_data(samples=24, features=5, seed=0):
 @pytest.fixture(scope="module")
 def bundle(tmp_path_factory):
     data = _toy_data()
-    detector = QuorumDetector(ensemble_groups=2, seed=11, shots=512,
-                              compile_circuits=True)
+    detector = QuorumDetector(ensemble_groups=2, seed=11, shots=512)
     detector.fit(data)
     path = save_model(detector,
                       tmp_path_factory.mktemp("registry") / "model.json")

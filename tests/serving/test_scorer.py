@@ -33,25 +33,34 @@ def _fit_and_save(tmp_path, data, **overrides):
 class TestReplayParity:
     """fit -> save -> load -> replay must equal anomaly_scores() bitwise."""
 
-    @pytest.mark.parametrize("compile_circuits", [True, False])
     @pytest.mark.parametrize("shots", [None, 4096])
-    def test_analytic(self, tmp_path, shots, compile_circuits):
+    def test_analytic(self, tmp_path, shots):
         data = _toy_data()
         detector, path = _fit_and_save(
-            tmp_path, data, ensemble_groups=4, seed=7, shots=shots,
-            compile_circuits=compile_circuits)
+            tmp_path, data, ensemble_groups=4, seed=7, shots=shots)
         with OnlineScorer(load_model(path)) as scorer:
             replay = scorer.score(data, mode="replay")
         assert np.array_equal(replay.scores, detector.anomaly_scores())
         assert replay.num_runs == detector.scores().num_runs
 
-    @pytest.mark.parametrize("compile_circuits", [True, False])
-    def test_noisy_density_matrix(self, tmp_path, compile_circuits):
+    def test_noisy_density_matrix(self, tmp_path):
         data = _toy_data(samples=18, features=3)
         detector, path = _fit_and_save(
             tmp_path, data, ensemble_groups=2, seed=5, shots=256,
-            backend="density_matrix", noisy=True, num_qubits=2,
-            compile_circuits=compile_circuits)
+            backend="density_matrix", noisy=True, num_qubits=2)
+        with OnlineScorer(load_model(path)) as scorer:
+            replay = scorer.score(data, mode="replay")
+        assert np.array_equal(replay.scores, detector.anomaly_scores())
+
+    def test_artifact_with_retired_compile_switch(self, tmp_path):
+        """Artifacts saved while the config still carried the interpreted
+        mode switch load and replay their fit bitwise."""
+        data = _toy_data()
+        detector, path = _fit_and_save(tmp_path, data, ensemble_groups=2,
+                                       seed=3, shots=512)
+        payload = json.loads(path.read_text())
+        payload["config"]["compile_circuits"] = False
+        path.write_text(json.dumps(payload))
         with OnlineScorer(load_model(path)) as scorer:
             replay = scorer.score(data, mode="replay")
         assert np.array_equal(replay.scores, detector.anomaly_scores())

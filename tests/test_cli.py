@@ -1,14 +1,21 @@
 """Tests for the quorum-repro command-line interface."""
 
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.cli import _parse_model_specs, build_parser, main
 from repro.core.detector import QuorumDetector
 from repro.data.dataset import Dataset
 from repro.data.io import load_dataset_csv, save_dataset_csv
+
+SRC_PATH = str(Path(repro.__file__).resolve().parents[1])
 
 
 class TestParser:
@@ -344,26 +351,35 @@ class TestFlagPlumbing:
         assert config.simulation_backend == "numpy-float32"
         assert config.executor == "threads"
         assert config.n_jobs == 3
-        assert config.compile_circuits is True
 
-    def test_no_compile_flag_reaches_quorum_config(self, monkeypatch, capsys):
-        captured = self.capture_config(monkeypatch)
-        assert main(["detect", "--dataset", "power_plant", "--ensembles", "2",
-                     "--shots", "0", "--seed", "2", "--no-compile"]) == 0
-        assert captured["config"].compile_circuits is False
+    @pytest.mark.parametrize("argv", [
+        ["detect", "--dataset", "power_plant"],
+        ["compare", "--dataset", "power_plant"],
+        ["experiment", "table1"],
+        ["report"],
+        ["fit", "--dataset", "power_plant", "--save-model", "model.json"],
+    ], ids=lambda argv: argv[0])
+    def test_retired_no_compile_flag_is_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--no-compile"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --no-compile" in capsys.readouterr().err
 
-    def test_compiled_and_interpreted_runs_score_identically(self, capsys):
-        """The noiseless CLI path is bitwise unchanged by compilation."""
-        outputs = {}
-        for label, flags in (("compiled", []), ("interpreted", ["--no-compile"])):
-            assert main(["detect", "--dataset", "power_plant", "--ensembles",
-                         "2", "--seed", "5"] + flags) == 0
-            outputs[label] = capsys.readouterr().out
-        assert outputs["compiled"] == outputs["interpreted"]
+    def test_statevector_with_exact_shots_exits_nonzero(self):
+        """``--shots 0`` means exact probabilities, which the shot-based
+        statevector engine cannot produce; the run must fail, not silently
+        sample a default shot count."""
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "detect", "--dataset",
+             "power_plant", "--ensembles", "1", "--backend", "statevector",
+             "--shots", "0"],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": SRC_PATH},
+        )
+        assert completed.returncode != 0
+        assert "statevector backend is shot-based" in completed.stderr
 
     def test_default_jobs_depend_on_executor_choice(self, monkeypatch, capsys):
-        import os
-
         captured = self.capture_config(monkeypatch)
         assert main(["detect", "--dataset", "power_plant", "--ensembles", "2",
                      "--shots", "0", "--seed", "2"]) == 0
