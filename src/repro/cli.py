@@ -28,7 +28,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Optional, Sequence
+from typing import Any, Callable, Optional, Sequence, TypeVar
 
 from repro.baselines import (
     HBOSDetector,
@@ -54,6 +54,8 @@ from repro.metrics.detection import detection_rate_curve
 from repro.quantum.backend import available_simulation_backends
 
 __all__ = ["main", "build_parser"]
+
+_Built = TypeVar("_Built")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -325,6 +327,21 @@ def _add_detector_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=1234)
 
 
+def _checked_config(build: Callable[..., _Built], *args: Any,
+                    **kwargs: Any) -> Optional[_Built]:
+    """``build(*args, **kwargs)``, which validates a ``QuorumConfig``.
+
+    An invalid flag combination (``QuorumConfig`` raises ``ValueError``, e.g.
+    ``--noisy`` without ``--backend density_matrix``) prints
+    ``error: <message>`` to stderr and returns ``None``; callers exit 2.
+    """
+    try:
+        return build(*args, **kwargs)
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return None
+
+
 def _build_detector(args: argparse.Namespace) -> QuorumDetector:
     """One QuorumDetector from the shared detector + executor flags."""
     return QuorumDetector(
@@ -427,7 +444,9 @@ def _command_detect(args: argparse.Namespace) -> int:
     dataset = _load_data_checked(args)
     if dataset is None:
         return 2
-    detector = _build_detector(args)
+    detector = _checked_config(_build_detector, args)
+    if detector is None:
+        return 2
     detector.fit(dataset)
     scores = detector.anomaly_scores()
 
@@ -464,11 +483,13 @@ def _command_compare(args: argparse.Namespace) -> int:
         print("the compare command needs labeled data to report metrics",
               file=sys.stderr)
         return 2
-    detector = QuorumDetector(ensemble_groups=args.ensembles, shots=4096,
-                              seed=args.seed,
-                              anomaly_fraction_estimate=dataset.anomaly_fraction,
-                              executor=args.executor, n_jobs=_resolve_jobs(args),
-                              fused_members=args.fused_members)
+    detector = _checked_config(
+        QuorumDetector, ensemble_groups=args.ensembles, shots=4096,
+        seed=args.seed, anomaly_fraction_estimate=dataset.anomaly_fraction,
+        executor=args.executor, n_jobs=_resolve_jobs(args),
+        fused_members=args.fused_members)
+    if detector is None:
+        return 2
     detector.fit(dataset)
     methods = {
         "Quorum (quantum)": detector.anomaly_scores(),
@@ -489,9 +510,12 @@ def _command_compare(args: argparse.Namespace) -> int:
 
 
 def _command_experiment(args: argparse.Namespace) -> int:
-    settings = ExperimentSettings(ensemble_groups=args.ensembles, seed=args.seed,
-                                  executor=args.executor, n_jobs=_resolve_jobs(args),
-                                  fused_members=args.fused_members)
+    settings = _checked_config(
+        ExperimentSettings, ensemble_groups=args.ensembles, seed=args.seed,
+        executor=args.executor, n_jobs=_resolve_jobs(args),
+        fused_members=args.fused_members)
+    if settings is None:
+        return 2
     for artifact in args.artifacts:
         if artifact == "table1":
             print("\n## Table I\n")
@@ -516,7 +540,9 @@ def _command_fit(args: argparse.Namespace) -> int:
     dataset = _load_data_checked(args)
     if dataset is None:
         return 2
-    detector = _build_detector(args)
+    detector = _checked_config(_build_detector, args)
+    if detector is None:
+        return 2
     detector.fit(dataset)
     path = detector.save_model(args.save_model)
     diagnostics = detector.diagnostics()
@@ -891,9 +917,12 @@ def _command_jobs(args: argparse.Namespace) -> int:
 
 
 def _command_report(args: argparse.Namespace) -> int:
-    settings = ExperimentSettings(ensemble_groups=args.ensembles, seed=args.seed,
-                                  executor=args.executor, n_jobs=_resolve_jobs(args),
-                                  fused_members=args.fused_members)
+    settings = _checked_config(
+        ExperimentSettings, ensemble_groups=args.ensembles, seed=args.seed,
+        executor=args.executor, n_jobs=_resolve_jobs(args),
+        fused_members=args.fused_members)
+    if settings is None:
+        return 2
     report = run_full_evaluation(settings, include_noisy=not args.skip_noisy)
     if args.output:
         path = write_report(report, args.output, json_path=args.json)

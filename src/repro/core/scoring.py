@@ -86,10 +86,12 @@ def bucket_statistics(p1_values: np.ndarray, buckets: BucketAssignment
         )
     means = np.empty(buckets.num_buckets)
     stds = np.empty(buckets.num_buckets)
-    for position, bucket in enumerate(buckets.buckets):
-        values = p1_values[np.asarray(bucket, dtype=int)]
-        means[position] = values.mean()
-        stds[position] = values.std()
+    for positions, indices in buckets.groups:
+        # The gathered block is C-contiguous, so each row reduces with the
+        # same pairwise summation as a 1-D ``values.mean()`` of that bucket.
+        values = p1_values[indices]
+        means[positions] = values.mean(axis=1)
+        stds[positions] = values.std(axis=1)
     return BucketStatistics(means=means, stds=stds)
 
 
@@ -119,12 +121,11 @@ def bucket_deviations(p1_values: np.ndarray, buckets: BucketAssignment,
         statistics = BucketStatistics(means=means, stds=stds)
     means, stds, live = statistics.means, statistics.stds, statistics.live
     deviations = np.zeros_like(p1_values)
-    for position, bucket in enumerate(buckets.buckets):
-        if not live[position]:
-            continue
-        indices = np.asarray(bucket, dtype=int)
-        deviations[indices] = (np.abs(p1_values[indices] - means[position])
-                               / stds[position])
+    for positions, indices in buckets.groups:
+        scored = live[positions]
+        positions, indices = positions[scored], indices[scored]
+        deviations[indices] = (np.abs(p1_values[indices] - means[positions, None])
+                               / stds[positions, None])
     return deviations
 
 

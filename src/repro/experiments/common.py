@@ -87,6 +87,10 @@ class ExperimentSettings:
             else os.environ.get("QUORUM_FUSED_MEMBERS") != "0"
         ))
 
+    def __post_init__(self) -> None:
+        # Reject knobs QuorumConfig refuses here, not minutes into a sweep.
+        self.quorum_config(DEFAULT_DATASETS[0])
+
     def quorum_config(self, dataset_name: str, **overrides: object) -> QuorumConfig:
         """Base Quorum config for ``dataset_name`` (Table I bucket probability)."""
         spec = DATASET_SPECS[dataset_name]

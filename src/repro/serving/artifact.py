@@ -447,18 +447,20 @@ class ModelArtifact:
                 for b, bucket in enumerate(buckets_raw)
             )
             num_buckets = len(buckets)
-            # Buckets must partition the training samples exactly once: a
-            # negative, out-of-range, or duplicated index would not fail
-            # loudly at scoring time -- it would silently shift replay-mode
-            # z-scores (Python negative indexing) or crash mid-request.
-            flat = np.concatenate([np.asarray(bucket, dtype=int)
-                                   for bucket in buckets])
-            if (flat.shape[0] != num_samples
-                    or not np.array_equal(np.sort(flat),
-                                          np.arange(num_samples))):
+            # Buckets must be non-empty and partition the training samples
+            # exactly once: a negative, out-of-range, or duplicated index or
+            # an empty bucket would not fail loudly at scoring time -- it
+            # would silently shift replay-mode z-scores (Python negative
+            # indexing), divide reference deviations by the wrong bucket
+            # count, or produce NaN.
+            try:
+                covered = BucketAssignment(buckets).num_samples
+            except ValueError:
+                covered = None
+            if covered != num_samples:
                 raise ArtifactCorruptError(
                     f"{context}.buckets is not a partition of the "
-                    f"{num_samples} training samples"
+                    f"{num_samples} training samples into non-empty buckets"
                 )
             reference_raw = _require(raw, "reference", context)
             reference: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}

@@ -1,10 +1,14 @@
 """Tests for bucket sizing and assignment."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.bucketing import (
+    BucketAssignment,
     assign_buckets,
     bucket_size_for_probability,
     probability_of_anomalous_bucket,
@@ -114,3 +118,87 @@ class TestAssignment:
         lists = assignment.as_lists()
         assert isinstance(lists[0], list)
         assert sum(len(bucket) for bucket in lists) == 12
+
+
+def _loop_assign_buckets(num_samples, bucket_size, rng):
+    """Reference: the modulo append loop the index-matrix build replaced."""
+    order = rng.permutation(num_samples)
+    num_buckets = max(1, num_samples // bucket_size)
+    buckets = [[] for _ in range(num_buckets)]
+    for position, sample in enumerate(order):
+        buckets[position % num_buckets].append(int(sample))
+    return tuple(tuple(bucket) for bucket in buckets)
+
+
+class TestIndexMatrices:
+    @pytest.mark.parametrize("num_samples", [1, 2, 7, 30, 100, 367, 809])
+    @pytest.mark.parametrize("bucket_size", [1, 2, 3, 9, 26, 1000])
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_matches_the_modulo_loop_and_rng_stream(self, num_samples,
+                                                    bucket_size, seed):
+        bucket_size = min(bucket_size, num_samples)
+        ours, theirs = (np.random.default_rng(seed),
+                        np.random.default_rng(seed))
+        assignment = assign_buckets(num_samples, bucket_size, ours)
+        assert assignment.buckets == _loop_assign_buckets(
+            num_samples, bucket_size, theirs)
+        assert ours.integers(0, 2 ** 31 - 1) == theirs.integers(0, 2 ** 31 - 1)
+
+    def test_groups_are_contiguous_read_only_and_at_most_two_lengths(self):
+        assignment = assign_buckets(809, 26, np.random.default_rng(4))
+        assert len(assignment.groups) == 2
+        lengths = [indices.shape[1] for _, indices in assignment.groups]
+        assert lengths == sorted(lengths)
+        for positions, indices in assignment.groups:
+            assert indices.flags.c_contiguous
+            assert indices.dtype == np.intp
+            assert not indices.flags.writeable
+            assert not positions.flags.writeable
+        assert assignment.num_buckets == 31
+        assert assignment.num_samples == 809
+
+    def test_explicit_buckets_round_trip_in_any_order(self):
+        buckets = ((4, 0), (1,), (2, 5, 3), (6, 7))
+        assignment = BucketAssignment(buckets=buckets)
+        assert assignment.buckets == buckets
+        assert assignment.num_buckets == 4
+        assert assignment.num_samples == 8
+        assert assignment.bucket_of(3) == 2
+        assert assignment.as_lists() == [list(bucket) for bucket in buckets]
+
+    def test_equality_and_hash_follow_the_partition(self):
+        assignment = assign_buckets(50, 7, np.random.default_rng(9))
+        rebuilt = BucketAssignment(buckets=assignment.buckets)
+        assert rebuilt == assignment
+        assert hash(rebuilt) == hash(assignment)
+        reordered = BucketAssignment(buckets=assignment.buckets[::-1])
+        assert reordered != assignment
+        assert assignment != assignment.buckets
+
+    @pytest.mark.parametrize("buckets", [
+        ((0, 1), (1, 2)),      # overlap: sample 1 twice, sample 3 missing
+        ((0, 1), ()),          # empty bucket
+        ((), ),                # only an empty bucket
+        (),                    # no buckets at all
+        ((0, 5),),             # index out of range
+        ((-1, 0),),            # negative index
+        ((0, 1), (1,)),        # duplicate across unequal lengths
+    ])
+    def test_non_partitions_raise(self, buckets):
+        with pytest.raises(ValueError):
+            BucketAssignment(buckets=buckets)
+
+    def test_member_plan_round_trips_through_pickle_and_deepcopy(self):
+        from repro.core.config import QuorumConfig
+        from repro.core.ensemble import plan_member
+
+        plan = plan_member(809, 16, QuorumConfig(), member_index=3,
+                           member_seed=17)
+        for clone in (pickle.loads(pickle.dumps(plan)), copy.deepcopy(plan)):
+            assert clone.buckets == plan.buckets
+            assert clone.buckets.buckets == plan.buckets.buckets
+            for (positions, indices), (_, original) in zip(
+                    clone.buckets.groups, plan.buckets.groups):
+                assert indices.flags.c_contiguous
+                assert not indices.flags.writeable
+                assert np.array_equal(indices, original)

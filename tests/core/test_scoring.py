@@ -114,6 +114,86 @@ class TestBucketStatistics:
         assert np.array_equal(plain, masked)
 
 
+def _loop_bucket_statistics(p1_values, buckets):
+    """Reference: the per-bucket loop the vectorized statistics replaced."""
+    p1_values = np.asarray(p1_values, dtype=float).ravel()
+    means = np.empty(buckets.num_buckets)
+    stds = np.empty(buckets.num_buckets)
+    for position, bucket in enumerate(buckets.buckets):
+        values = p1_values[np.asarray(bucket, dtype=int)]
+        means[position] = values.mean()
+        stds[position] = values.std()
+    return means, stds
+
+
+def _loop_bucket_deviations(p1_values, buckets, means, stds):
+    """Reference: the per-bucket loop the vectorized deviations replaced."""
+    p1_values = np.asarray(p1_values, dtype=float).ravel()
+    deviations = np.zeros_like(p1_values)
+    for position, bucket in enumerate(buckets.buckets):
+        if not stds[position] >= 1e-12:
+            continue
+        indices = np.asarray(bucket, dtype=int)
+        deviations[indices] = (np.abs(p1_values[indices] - means[position])
+                               / stds[position])
+    return deviations
+
+
+@st.composite
+def _scored_partitions(draw):
+    """A random partition (unequal lengths, any bucket order) plus P(1) values.
+
+    Some buckets are made degenerate (all-equal values), and the P(1) vector
+    is one row of a ``(levels, samples)`` array, as the ensemble scores it.
+    """
+    lengths = draw(st.lists(
+        st.sampled_from([1, 2, 7, 8, 9, 127, 128, 129, 257])
+        | st.integers(min_value=1, max_value=40),
+        min_size=1, max_size=6))
+    seed = draw(st.integers(min_value=0, max_value=2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(sum(lengths))
+    buckets = tuple(tuple(int(index) for index in chunk)
+                    for chunk in np.split(order, np.cumsum(lengths)[:-1]))
+    levels = rng.uniform(0.0, 0.5, size=(3, order.size))
+    degenerate = draw(st.sets(st.integers(0, len(buckets) - 1)))
+    for position in degenerate:
+        levels[:, list(buckets[position])] = 0.25
+    level = draw(st.integers(0, levels.shape[0] - 1))
+    return BucketAssignment(buckets=buckets), levels[level]
+
+
+class TestVectorizedScoringOracle:
+    """The array scoring path is bitwise equal to the per-bucket loop."""
+
+    @given(_scored_partitions())
+    @settings(max_examples=60, deadline=None)
+    def test_statistics_and_deviations_match_the_loop_bitwise(self, case):
+        buckets, p1 = case
+        statistics = bucket_statistics(p1, buckets)
+        means, stds = _loop_bucket_statistics(p1, buckets)
+        assert statistics.means.tobytes() == means.tobytes()
+        assert statistics.stds.tobytes() == stds.tobytes()
+        expected = _loop_bucket_deviations(p1, buckets, means, stds)
+        assert bucket_deviations(p1, buckets).tobytes() == expected.tobytes()
+        assert bucket_deviations(
+            p1, buckets, statistics=statistics).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("num_samples,bucket_size", [
+        (809, 26), (367, 19), (1000, 8), (257, 257), (129, 2)])
+    def test_random_assignments_match_the_loop_bitwise(self, num_samples,
+                                                       bucket_size):
+        rng = np.random.default_rng(num_samples)
+        buckets = assign_buckets(num_samples, bucket_size, rng)
+        p1 = rng.uniform(0.0, 0.5, size=(4, num_samples))[2]
+        means, stds = _loop_bucket_statistics(p1, buckets)
+        statistics = bucket_statistics(p1, buckets)
+        assert statistics.means.tobytes() == means.tobytes()
+        assert statistics.stds.tobytes() == stds.tobytes()
+        assert (bucket_deviations(p1, buckets).tobytes()
+                == _loop_bucket_deviations(p1, buckets, means, stds).tobytes())
+
+
 class TestReferenceDeviations:
     def test_matches_mean_absolute_z_over_buckets(self):
         means = np.array([0.2, 0.4])

@@ -198,6 +198,20 @@ class TestCorruptFiles:
         with pytest.raises(ArtifactCorruptError, match="partition"):
             load_model(model_path)
 
+    def test_empty_bucket_rejected(self, model_path):
+        def mutate(payload):
+            # Every sample is still covered once and the reference statistics
+            # match the bucket count: only the empty bucket is wrong.
+            member = payload["members"][0]
+            member["buckets"].append([])
+            for level in member["reference"].values():
+                level["bucket_means"].append(0.5)
+                level["bucket_stds"].append(0.1)
+
+        _rewrite(model_path, mutate)
+        with pytest.raises(ArtifactCorruptError, match="non-empty"):
+            load_model(model_path)
+
     def test_bucket_index_out_of_range_rejected(self, model_path):
         def mutate(payload):
             payload["members"][0]["buckets"][0][0] = 10_000

@@ -365,6 +365,27 @@ class TestFlagPlumbing:
         assert excinfo.value.code == 2
         assert "unrecognized arguments: --no-compile" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,message", [
+        (["detect", "--dataset", "power_plant", "--noisy"],
+         "noisy simulation requires the density_matrix backend"),
+        (["fit", "--dataset", "power_plant", "--save-model", "unused.json",
+          "--qubits", "1"], "at least 2 encoding qubits"),
+        (["compare", "--dataset", "power_plant", "--ensembles", "0"],
+         "at least one ensemble group"),
+        (["experiment", "fig8", "--ensembles", "0"],
+         "at least one ensemble group"),
+        (["report", "--jobs", "0"], "n_jobs must be at least 1"),
+    ], ids=["detect-noisy-analytic", "fit-qubits", "compare-ensembles",
+            "experiment-ensembles", "report-jobs"])
+    def test_invalid_flag_combinations_exit_2_with_a_message(
+            self, argv, message, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert message in err
+        assert not (tmp_path / "unused.json").exists()
+
     def test_statevector_with_exact_shots_exits_nonzero(self):
         """``--shots 0`` means exact probabilities, which the shot-based
         statevector engine cannot produce; the run must fail, not silently
@@ -376,7 +397,8 @@ class TestFlagPlumbing:
             capture_output=True, text=True, timeout=120,
             env={**os.environ, "PYTHONPATH": SRC_PATH},
         )
-        assert completed.returncode != 0
+        assert completed.returncode == 2
+        assert completed.stderr.startswith("error: ")
         assert "statevector backend is shot-based" in completed.stderr
 
     def test_default_jobs_depend_on_executor_choice(self, monkeypatch, capsys):
