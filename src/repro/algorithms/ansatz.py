@@ -10,13 +10,16 @@ encoder-decoder pair would be the identity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.quantum.backend import get_simulation_backend
 from repro.quantum.circuit import QuantumCircuit
+from repro.quantum.gates import standard_gate_matrix
 
-__all__ = ["RandomAutoencoderAnsatz"]
+__all__ = ["RandomAutoencoderAnsatz", "encoder_gate_stacks",
+           "hold_encoder_unitaries"]
 
 _ENTANGLEMENTS = ("linear", "ring", "full")
 
@@ -65,12 +68,26 @@ class RandomAutoencoderAnsatz:
                 raise ValueError(
                     f"expected {self.num_parameters} angles, got {self.angles_.shape}"
                 )
-        # The cached encoder unitary assumes the angles never change; freeze
-        # them so a stale cache cannot be produced by in-place mutation (use
+        # The held encoder unitary assumes the angles never change; freeze
+        # them so a stale unitary cannot be produced by in-place mutation (use
         # with_new_angles for a fresh draw).
         self.angles_.setflags(write=False)
 
+    def __setstate__(self, state: dict) -> None:
+        # Unpickled arrays come back writable; re-freeze what __post_init__
+        # and hold_encoder_unitaries froze.
+        self.__dict__.update(state)
+        for array in (self.angles_, self._encoder_unitary):
+            if array is not None:
+                array.setflags(write=False)
+
     # ------------------------------------------------------------------ layout
+    @property
+    def structure(self) -> Tuple[int, int, str]:
+        """``(num_qubits, num_layers, entanglement)``: ansatzes with equal
+        structures share one gate layout and differ only in their angles."""
+        return (self.num_qubits, self.num_layers, self.entanglement)
+
     @property
     def num_parameters(self) -> int:
         """Two rotations (RX, RZ) per qubit per layer."""
@@ -127,30 +144,14 @@ class RandomAutoencoderAnsatz:
     def encoder_unitary(self) -> np.ndarray:
         """Dense unitary of the encoder on its own ``num_qubits`` register.
 
-        The matrix is built once per ansatz (i.e. once per ensemble member) and
-        cached: the angles are immutable after construction, so every engine and
-        every compression level can reuse the same ``E`` / ``E^dagger``.  The
-        returned array is marked read-only to protect the cache.
-
-        Construction always uses the numpy reference backend on purpose: the
-        result is a tiny ``2^n x 2^n`` ndarray of plain data that every
-        simulation backend consumes as input, so there is nothing to gain from
-        building it on an accelerator (and the cache stays backend-agnostic).
+        The matrix is held on the ansatz: built once per ensemble member
+        (usually for the whole ensemble at planning time by
+        :func:`hold_encoder_unitaries`, otherwise here as a one-member walk)
+        and marked read-only.  The angles are immutable after construction,
+        so every engine and every compression level reuses the same ``E``.
         """
         if self._encoder_unitary is None:
-            from repro.quantum.backend import get_simulation_backend
-
-            circuit = self.encoder_circuit(list(range(self.num_qubits)))
-            instructions = [
-                (instruction.matrix_or_standard(), instruction.qubits)
-                for instruction in circuit.instructions
-                if instruction.name != "barrier"
-            ]
-            unitary = get_simulation_backend("numpy").unitary_from_instructions(
-                instructions, self.num_qubits
-            )
-            unitary.setflags(write=False)
-            self._encoder_unitary = unitary
+            hold_encoder_unitaries([self])
         return self._encoder_unitary
 
     def with_new_angles(self, seed: Optional[int] = None) -> "RandomAutoencoderAnsatz":
@@ -161,3 +162,60 @@ class RandomAutoencoderAnsatz:
             entanglement=self.entanglement,
             seed=seed,
         )
+
+
+def hold_encoder_unitaries(ansatzes: Iterable[RandomAutoencoderAnsatz]) -> None:
+    """Give every ansatz without one its encoder unitary.
+
+    Ansatzes of one :attr:`~RandomAutoencoderAnsatz.structure` share the gate
+    layout of their encoder circuit, so each structure group is built in ONE
+    member-stacked gate walk
+    (:meth:`~repro.quantum.backend.SimulationBackend.member_unitaries_from_instructions`):
+    the CX positions are shared and the rotation positions stack each
+    member's own gate.  The walk runs on the numpy reference backend on
+    purpose -- the result is a tiny ``2^n x 2^n`` matrix per member that
+    every simulation backend consumes as plain input -- and each member's
+    slice is bitwise equal to a walk of that member alone.
+    """
+    groups: Dict[Tuple[int, int, str], List[RandomAutoencoderAnsatz]] = {}
+    for ansatz in ansatzes:
+        if ansatz._encoder_unitary is None:
+            groups.setdefault(ansatz.structure, []).append(ansatz)
+    backend = get_simulation_backend("numpy")
+    for group in groups.values():
+        unitaries = backend.member_unitaries_from_instructions(
+            encoder_gate_stacks(group), group[0].num_qubits)
+        unitaries.setflags(write=False)
+        for ansatz, unitary in zip(group, unitaries):
+            ansatz._encoder_unitary = unitary
+
+
+def encoder_gate_stacks(group: Sequence[RandomAutoencoderAnsatz]
+                        ) -> List[Tuple[np.ndarray, Tuple[int, ...]]]:
+    """The member-stacked gate sequence of one structure group's encoders.
+
+    The layout comes from the first member's encoder circuit: each CX
+    position becomes one shared ``(1, 4, 4)`` gate, each rotation position a
+    ``(members, 2, 2)`` stack of every member's own rotation.
+    """
+    if any(ansatz.structure != group[0].structure for ansatz in group):
+        raise ValueError("a gate-stack group must share one ansatz structure")
+    layout = group[0].encoder_circuit()
+    instructions = []
+    angle = 0
+    for instruction in layout.instructions:
+        if instruction.params:
+            # encoder_circuit consumes angles_ in order, one per rotation.
+            if instruction.params[0] != float(group[0].angles_[angle]):
+                raise ValueError("encoder layout does not consume the angles "
+                                 "in order")
+            gates = np.stack([
+                standard_gate_matrix(instruction.name,
+                                     (float(ansatz.angles_[angle]),))
+                for ansatz in group
+            ])
+            angle += 1
+        else:
+            gates = instruction.matrix_or_standard()[None]
+        instructions.append((gates, tuple(instruction.qubits)))
+    return instructions

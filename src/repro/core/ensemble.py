@@ -16,11 +16,12 @@ The member lifecycle is split in two:
   (not datasets) to workers.
 * :func:`execute_member` performs the *heavy, data-dependent* work: amplitude
   encoding, one fused ``(levels x samples)`` batched SWAP-test sweep through the
-  engine's ``p1_levels_batch``, and bucket scoring.  The member's fixed circuit
-  structure is lowered ahead of time through the shared
-  :mod:`repro.quantum.compiler` cache -- the encoder becomes one fused unitary
-  (or, for noisy members, one cached ``n``-qubit channel), each level's suffix
-  one cached Heisenberg-picture observable -- so the sweep executes as a
+  engine's ``p1_levels_batch``, and bucket scoring.  The member's fixed
+  operators are ready before the sweep: the encoder unitary is held on the
+  plan's ansatz (built for the whole ensemble in one stacked walk by
+  :func:`repro.core.parallel.plan_members`), and the noisy encoder channel and
+  each level's Heisenberg-picture suffix observable are lowered once through
+  the shared :mod:`repro.quantum.compiler` cache -- so the sweep executes as a
   handful of batched contractions.  Noisy members run the engine's factorized
   sweep: the state preparation and the encoder are applied once per member,
   and every level reads its probability from that one pair of ``n``-qubit
@@ -50,7 +51,6 @@ from repro.core.execution import SwapTestEngine, apply_shot_noise, make_engine
 from repro.core.feature_selection import select_feature_subset
 from repro.core.scoring import (BucketStatistics, bucket_deviations,
                                 bucket_statistics)
-from repro.quantum.compiler import structure_signature
 
 __all__ = [
     "EnsembleMemberResult",
@@ -128,9 +128,9 @@ class EnsembleMemberResult:
 class MemberPlan:
     """Everything one ensemble member needs besides the dataset itself.
 
-    Plans are cheap (a few index arrays, the ansatz angles, and an RNG state)
-    and picklable, so a process executor ships plans to workers while the
-    dataset travels once through shared memory.  ``rng`` holds the member
+    Plans are cheap (a few index arrays, the ansatz angles and held encoder
+    unitary, and an RNG state) and picklable, so a process executor ships
+    plans to workers while the dataset travels once through shared memory.  ``rng`` holds the member
     generator *after* the planning draws; :func:`execute_member` hands it to the
     engine so shot noise continues the member's deterministic stream.
 
@@ -267,21 +267,16 @@ def _score_member(plan: MemberPlan, levels: Sequence[int],
 
 
 def plan_structure_key(plan: MemberPlan) -> Tuple:
-    """Hashable compiled-circuit *structure* fingerprint of a member plan.
+    """Hashable *structure* fingerprint of a member plan.
 
-    Plans with equal keys share qubit counts and ansatz shape (parameters --
-    the random rotation angles -- excluded), so their circuits lower to
-    compiled programs with identical block structure and the members can
-    execute as one stacked batch.  The fused executor groups plans by this
-    key; mixed-key ensembles fall back to per-member dispatch group by group.
+    The ansatz structure ``(num_qubits, num_layers, entanglement)``: plans
+    with equal keys build their circuits from one gate layout (only the
+    random rotation angles differ), so their compiled programs share block
+    structure and the members can execute as one stacked batch.  The fused
+    executor groups plans by this key; mixed-key ensembles fall back to
+    per-member dispatch group by group.
     """
-    ansatz = plan.ansatz
-    return (
-        ansatz.num_qubits,
-        structure_signature(
-            ansatz.encoder_circuit(list(range(ansatz.num_qubits)))
-        ),
-    )
+    return plan.ansatz.structure
 
 
 def execute_member_group(normalized_data: np.ndarray,

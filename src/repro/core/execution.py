@@ -36,7 +36,7 @@ Every engine accepts ``simulation_backend=`` (a name from
 ``"numpy"``) and routes its linear algebra through that backend's batched
 primitives: amplitudes enter as ``(samples, 2**n)`` float arrays, the leading
 batch axis is preserved end to end, and the ansatz unitary ``E`` is built once
-per ensemble member (cached on the ansatz) rather than once per sample.
+per ensemble member (held on the ansatz) rather than once per sample.
 
 ``p1_levels_batch`` fuses a member's whole compression sweep into one call:
 samples and levels form a single flattened batch wherever the math allows, and
@@ -94,11 +94,12 @@ def apply_shot_noise(exact_p1: np.ndarray, shots: Optional[int],
 class SwapTestEngine:
     """Interface shared by the three execution strategies.
 
-    Every engine executes *compiled programs*: circuits are lowered once
-    through a :class:`~repro.quantum.compiler.CircuitCompiler` (shared LRU
-    cache keyed by circuit signature, noise fingerprint, and backend dtype)
-    into fused dense operators, and the per-sweep work reduces to a few
-    batched matmuls.
+    Every engine executes precomputed dense operators, so the per-sweep work
+    reduces to a few batched matmuls.  Each member's encoder unitary is held
+    on its ansatz; sample-independent channels and observables (the noisy
+    encoder channel, each level's suffix) are lowered once through a
+    :class:`~repro.quantum.compiler.CircuitCompiler` (shared LRU cache keyed
+    by circuit signature, noise fingerprint, and backend dtype).
 
     :meth:`p1_batch` is the one-level case of :meth:`p1_levels_batch`, which
     validates its inputs and applies shot noise to the engine's exact
@@ -207,15 +208,10 @@ class SwapTestEngine:
                               ) -> np.ndarray:
         """The group's ``(members, 2^n, 2^n)`` encoder parameter stack.
 
-        One cached member-stacked compile; per-member fused unitaries are
-        shared with the serial path's cache entries, so results are bitwise
-        identical to serial encoders.
+        The members' held encoder unitaries, stacked in the backend dtype --
+        bitwise the encoders the serial path applies.
         """
-        circuits = [
-            ansatz.encoder_circuit(list(range(ansatz.num_qubits)))
-            for ansatz in ansatzes
-        ]
-        return self.compiler.member_stacked_unitary(circuits, self.backend)
+        return np.stack([self._encoder_unitary(ansatz) for ansatz in ansatzes])
 
     def _validated_levels(self, compression_levels: Sequence[int],
                           ansatz: RandomAutoencoderAnsatz) -> list:
@@ -261,18 +257,14 @@ class SwapTestEngine:
         return apply_shot_noise(exact_p1, self.shots, self.rng)
 
     def _encoder_unitary(self, ansatz: RandomAutoencoderAnsatz) -> np.ndarray:
-        """The member's dense encoder ``E`` -- the compiled pure-state program.
+        """The member's dense encoder ``E`` in the backend dtype.
 
-        The encoder circuit is fused through the shared compiler cache (one
-        ``2^n x 2^n`` unitary per member, reused across engines, levels, and
-        repeated sweeps); the lowering matches
-        :meth:`~repro.algorithms.ansatz.RandomAutoencoderAnsatz.encoder_unitary`
-        operation for operation, so results are bitwise equal to it.
+        Read from the unitary the ansatz holds
+        (:meth:`~repro.algorithms.ansatz.RandomAutoencoderAnsatz.encoder_unitary`,
+        built once per member at plan or model-load time); no encoder circuit
+        is built and the compiler is not consulted.
         """
-        return self.compiler.fused_unitary(
-            ansatz.encoder_circuit(list(range(ansatz.num_qubits))),
-            self.backend,
-        )
+        return np.asarray(ansatz.encoder_unitary(), dtype=self.backend.dtype)
 
 
 class AnalyticEngine(SwapTestEngine):

@@ -15,7 +15,7 @@ hands the plans to a pluggable :class:`ExecutorStrategy`:
   ``multiprocessing.shared_memory`` instead of receiving one pickled copy
   each; only the tiny plans and result arrays cross process boundaries.
 * ``fused`` -- cross-member stacked execution in the calling process: plans
-  are grouped by compiled-circuit structure signature
+  are grouped by ansatz structure
   (:func:`~repro.core.ensemble.plan_structure_key`) and each group runs as
   ONE ``(members x levels x samples)`` batch per sweep step through
   :func:`~repro.core.ensemble.execute_member_group`, sharing a single engine
@@ -48,6 +48,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.algorithms.ansatz import hold_encoder_unitaries
 from repro.core.config import QuorumConfig
 from repro.core.ensemble import (
     EnsembleMemberResult,
@@ -188,10 +189,10 @@ class ProcessExecutor(ExecutorStrategy):
 
 
 class FusedExecutor(ExecutorStrategy):
-    """Execute plans as cross-member stacked batches, one per signature group.
+    """Execute plans as cross-member stacked batches, one per structure group.
 
-    Members whose circuits share a *structure signature* (qubit counts and
-    ansatz shape; parameters excluded) differ only in continuous payloads, so
+    Members whose ansatzes share a structure (qubit count, layers and
+    entanglement; angles excluded) differ only in continuous payloads, so
     each group's whole compression sweep collapses into member-stacked
     contractions (:func:`~repro.core.ensemble.execute_member_group`): one
     engine build, one member-batched circuit walk, and one stacked
@@ -275,13 +276,16 @@ def plan_members(num_samples: int, num_features: int, config: QuorumConfig,
 
     Planning is deterministic in the dataset *shape* and the seeds, so the same
     call always reproduces the same plans (feature subsets, buckets, ansatz
-    angles, and post-planning RNG snapshots).
+    angles, and post-planning RNG snapshots).  Every plan's ansatz gets its
+    encoder unitary here, in one member-stacked walk per structure group.
     """
-    return [
+    plans = [
         plan_member(num_samples, num_features, config, index, seed,
                     bucket_size=bucket_size)
         for index, seed in enumerate(seeds)
     ]
+    hold_encoder_unitaries(plan.ansatz for plan in plans)
+    return plans
 
 
 def run_ensemble_members(normalized_data: np.ndarray, config: QuorumConfig,

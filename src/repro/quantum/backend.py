@@ -297,9 +297,8 @@ class SimulationBackend(ABC):
         """Apply per-member fused unitaries to a stacked state batch.
 
         ``states`` is ``(members, batch, dim)`` -- one state batch per ensemble
-        member -- and ``unitaries`` is the compiler's member-stacked
-        ``(members, dim, dim)`` parameter stack
-        (:meth:`repro.quantum.compiler.CircuitCompiler.member_stacked_unitary`).
+        member -- and ``unitaries`` the ``(members, dim, dim)`` stack of their
+        encoder unitaries.
         Row ``(m, b)`` of the result is ``U_m |psi_{m,b}>``: the whole
         ensemble sweep step in one dispatch.  The default chains
         :meth:`apply_unitary_batch` per member so every backend inherits the
@@ -419,25 +418,95 @@ class SimulationBackend(ABC):
         return overlaps
 
     # ----------------------------------------------------------------- helpers
+    #: Byte budget of one member block of :meth:`member_unitaries_from_instructions`:
+    #: members are walked in blocks whose unitaries fit in this many bytes, so
+    #: the walk's temporaries stay the same size at any member count or width.
+    MEMBER_WALK_BLOCK_BYTES = 4 << 20
+
     def unitary_from_instructions(
             self, instructions: Sequence[Tuple[np.ndarray, Sequence[int]]],
             num_qubits: int) -> np.ndarray:
-        """Dense unitary of a gate sequence, built through the batched kernel.
+        """Dense unitary of a gate sequence.
 
-        The identity's rows are treated as a batch of basis states and pushed
-        through every ``(gate, qubits)`` pair at once; row ``i`` of the batch
-        ends as ``U |i>``, so the stacked result is ``U^T``.
+        The one-member case of :meth:`member_unitaries_from_instructions`.
+        """
+        return self.member_unitaries_from_instructions(
+            [(np.asarray(gate)[None], qubits) for gate, qubits in instructions],
+            num_qubits,
+        )[0]
+
+    def member_unitaries_from_instructions(
+            self, instructions: Sequence[Tuple[np.ndarray, Sequence[int]]],
+            num_qubits: int) -> np.ndarray:
+        """Dense unitaries of a member-stacked gate sequence, in one walk.
+
+        Each ``(gates, qubits)`` pair holds either a ``(members, 2^k, 2^k)``
+        stack of per-member gates or a ``(1, 2^k, 2^k)`` gate shared by every
+        member.  Each member's identity rows form a batch of basis states, and
+        every gate position is applied to all members with one stacked
+        ``np.matmul`` laid out exactly like
+        :func:`~repro.quantum.statevector.apply_unitary_to_tensor`'s
+        contraction, so each member's slice runs the same BLAS call as a walk
+        of that member alone.  Row ``i`` of member ``m`` ends as
+        ``U_m |i>``; the result is the ``(members, 2^n, 2^n)`` stack of
+        ``U_m``.
         """
         dim = 2 ** num_qubits
-        states = np.eye(dim, dtype=self.dtype)
-        for gate, qubits in instructions:
-            states = self.apply_gate_batch(states, gate, qubits)
-        return states.T.copy()
+        steps = []
+        for gates, qubits in instructions:
+            gates = np.asarray(gates, dtype=self.dtype)
+            qubits = [int(qubit) for qubit in qubits]
+            size = 2 ** len(qubits)
+            if gates.ndim != 3 or gates.shape[1:] != (size, size):
+                raise ValueError(
+                    f"gate stack shape {gates.shape} does not match "
+                    f"{len(qubits)} target qubits"
+                )
+            steps.append((gates, qubits))
+        members = max([gates.shape[0] for gates, _ in steps], default=1)
+        if any(gates.shape[0] not in (1, members) for gates, _ in steps):
+            raise ValueError("every gate stack needs one gate per member, or "
+                             "one gate shared by all")
+        block = max(1, self.MEMBER_WALK_BLOCK_BYTES
+                    // (dim * dim * self.dtype.itemsize))
+        unitaries = np.empty((members, dim, dim), dtype=self.dtype)
+        identity = np.eye(dim, dtype=self.dtype)
+        for start in range(0, members, block):
+            stop = min(start + block, members)
+            rows = np.broadcast_to(identity, (stop - start, dim, dim))
+            for gates, qubits in steps:
+                if gates.shape[0] > 1:
+                    gates = gates[start:stop]
+                rows = _apply_member_gates(rows, gates, qubits, num_qubits)
+            unitaries[start:stop] = np.swapaxes(rows, 1, 2)
+        return unitaries
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"
 
 
+def _apply_member_gates(rows: np.ndarray, gates: np.ndarray,
+                        qubits: Sequence[int], num_qubits: int) -> np.ndarray:
+    """Apply ``gates[m]`` to ``qubits`` of every row of member ``m``.
+
+    ``rows`` is ``(members, batch, 2**n)``.  The operand is transposed and
+    reshaped exactly as ``np.tensordot`` does inside
+    :func:`~repro.quantum.statevector.apply_unitary_to_tensor` (target axes
+    first, then the batch and remaining axes in order), so every member's
+    slice is the same ``2^k x N`` product the one-member kernel computes.
+    """
+    members, batch = rows.shape[0], rows.shape[1]
+    k = len(qubits)
+    tensor = rows.reshape((members, batch) + (2,) * num_qubits)
+    state_axes = [2 + num_qubits - 1 - q for q in reversed(qubits)]
+    free_axes = [axis for axis in range(1, num_qubits + 2)
+                 if axis not in state_axes]
+    operand = tensor.transpose([0] + state_axes + free_axes).reshape(
+        members, 2 ** k, -1)
+    product = np.matmul(gates, operand).reshape(
+        (members,) + (2,) * k + tuple(tensor.shape[axis] for axis in free_axes))
+    moved = np.moveaxis(product, range(1, k + 1), state_axes)
+    return np.ascontiguousarray(moved).reshape(members, batch, -1)
 
 
 class NumpyBackend(SimulationBackend):

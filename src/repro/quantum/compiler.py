@@ -14,8 +14,10 @@ Three lowerings are provided:
 
 * :meth:`CircuitCompiler.unitary_program` / :meth:`CircuitCompiler.fused_unitary`
   -- pure-state compilation.  Contiguous runs of unitary gates are fused into
-  one dense ``2^k x 2^k`` unitary per support block (for the Quorum encoder:
-  ONE ``2^n x 2^n`` matrix per member, applied as a single batched matmul).
+  one dense ``2^k x 2^k`` unitary per support block.  (The engines do not
+  compile the Quorum encoder: each member's ansatz holds its unitary, built
+  for the whole ensemble in one stacked walk by
+  :func:`repro.algorithms.ansatz.hold_encoder_unitaries`.)
 * :meth:`CircuitCompiler.channel_program` -- mixed-state compilation.  Every
   gate is composed with its noise channel into one superoperator, resets
   become reset channels, and contiguous channel runs are fused into dense
@@ -363,12 +365,10 @@ class CircuitCompiler:
                       ) -> np.ndarray:
         """The whole circuit as ONE dense full-register unitary (cached).
 
-        This is what the SWAP-test engines use for the member ansatz: the
-        encoder circuit collapses to a single ``2^n x 2^n`` matrix applied as
-        one batched matmul per sweep.  The construction matches
+        For an encoder circuit the construction matches
         :meth:`repro.algorithms.ansatz.RandomAutoencoderAnsatz.encoder_unitary`
-        operation for operation, so compiled pure-state results are bitwise
-        identical to the interpreted path.
+        operation for operation, so the two are bitwise equal; the engines
+        read the ansatz's held unitary and never call this.
         """
         backend = get_simulation_backend(backend)
         key = ("fused_unitary", str(backend.dtype), self.optimize,
@@ -466,13 +466,12 @@ class CircuitCompiler:
                                               None] = None) -> np.ndarray:
         """Stack :meth:`fused_unitary` over a signature group of circuits.
 
-        Returns a read-only ``(members, 2^n, 2^n)`` array -- the parameter
-        stack of the group's encoder unitaries, consumed by
-        :meth:`~repro.quantum.backend.SimulationBackend.apply_compiled_unitary_member_batch`
-        as one batched matmul.  All circuits must share a
+        Returns a read-only ``(members, 2^n, 2^n)`` array of the circuits'
+        fused unitaries.  All circuits must share a
         :func:`structure_signature`; per-member fused unitaries are pulled
         from (and populate) the ordinary compiled cache, so stacking after a
-        serial run recompiles nothing.
+        serial run recompiles nothing.  The engines stack the members' held
+        encoder unitaries instead of calling this.
         """
         backend = get_simulation_backend(backend)
         self._require_uniform_structure(circuits)

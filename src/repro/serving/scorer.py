@@ -28,14 +28,16 @@ member's persisted post-planning RNG state.  Two consequences:
 The micro-batching queue (:meth:`OnlineScorer.submit`) coalesces concurrent
 requests into one ``(levels x samples)`` fused batch per ensemble member, so
 the per-request marginal cost is the sample-dependent prefix plus one matmul
-per compression level -- the compiled encoder unitaries and suffix observables
-come from the process-wide compiler cache and are reused across requests.
+per compression level.  Each member's encoder unitary is built once, at
+construction, and held on its ansatz; the noisy encoder channels and suffix
+observables come from the process-wide compiler cache and are reused across
+requests.
 
 When the model was fitted with cross-member fusion
 (``QuorumConfig.wants_fused_members``, or the ``fused_members`` constructor
 override), the scorer additionally stacks the exact sweeps of members sharing
-a compiled-circuit structure signature into one ``(members x levels x
-samples)`` dispatch per group
+an ansatz structure into one ``(members x levels x samples)`` dispatch per
+group
 (:meth:`~repro.core.execution.SwapTestEngine.p1_levels_member_batch`).  Shot
 noise is still drawn per member afterwards, so fused scores remain bitwise
 identical to the member-by-member sweep; the ``stacked_dispatches`` and
@@ -57,6 +59,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.algorithms.ansatz import hold_encoder_unitaries
 from repro.core.bucketing import BucketAssignment
 from repro.core.config import QuorumConfig
 from repro.core.ensemble import batch_amplitudes, plan_structure_key
@@ -209,10 +212,12 @@ class OnlineScorer:
         self._fused_members = bool(
             self._fusable and config.wants_fused_members
             and len(self._members) > 1)
-        # Members whose compiled circuits share a structure signature execute
-        # as one stacked batch per sweep step; mixed-signature ensembles split
-        # into one dispatch per group.  Computed once -- the ansatzes are
-        # frozen in the artifact.
+        # One stacked walk per structure group builds every member's encoder
+        # unitary now, so no request builds or looks one up.
+        hold_encoder_unitaries(member.ansatz for member in self._members)
+        # Members sharing an ansatz structure execute as one stacked batch per
+        # sweep step; mixed-structure ensembles split into one dispatch per
+        # group.  Computed once -- the ansatzes are frozen in the artifact.
         self._member_groups: List[List[int]] = []
         if self._fused_members:
             groups: Dict[Tuple, List[int]] = {}

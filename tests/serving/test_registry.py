@@ -109,16 +109,31 @@ class TestLifecycle:
             assert registry.get("pre").sha256 == entry.sha256
 
 
+@pytest.fixture(scope="module")
+def noisy_bundle(tmp_path_factory):
+    """A noisy model: its encoder channels and suffix observables are the
+    programs that reach the compiler cache (analytic encoders are held per
+    member and compile nothing)."""
+    data = _toy_data(samples=12, features=3)
+    detector = QuorumDetector(ensemble_groups=2, seed=11, shots=512,
+                              backend="density_matrix", noisy=True,
+                              num_qubits=2)
+    detector.fit(data)
+    path = save_model(detector,
+                      tmp_path_factory.mktemp("registry") / "noisy.json")
+    return {"data": data, "path": path}
+
+
 class TestSharedCompilerCache:
-    def test_two_models_share_compiled_programs(self, bundle):
+    def test_two_models_share_compiled_programs(self, noisy_bundle):
         """Acceptance criterion: two concurrently served artifacts share the
         compiler cache -- scoring via the second id adds NO new compiles,
         only hits."""
         compiler = CircuitCompiler()
         with ModelRegistry(compiler=compiler) as registry:
-            registry.load(bundle["path"], model_id="a")
-            registry.load(bundle["path"], model_id="b")
-            probe = bundle["data"][:4]
+            registry.load(noisy_bundle["path"], model_id="a")
+            registry.load(noisy_bundle["path"], model_id="b")
+            probe = noisy_bundle["data"][:4]
 
             registry.get("a").scorer.submit(probe).result(timeout=60)
             warm = compiler.stats

@@ -183,18 +183,25 @@ class TestConcurrencyAndCaching:
         assert diagnostics["serving"]["batches"] >= 1
 
     def test_compiled_programs_are_reused_across_requests(self, tmp_path):
-        data = _toy_data()
-        _, path = _fit_and_save(tmp_path, data, ensemble_groups=3, seed=2,
-                                shots=512)
+        # A noisy model: analytic encoders are held per member and never
+        # compiled, so the programs to reuse are the noisy encoder channels
+        # and the per-level suffix observables.
+        data = _toy_data(samples=12, features=3)
+        detector, path = _fit_and_save(
+            tmp_path, data, ensemble_groups=3, seed=2, shots=512,
+            backend="density_matrix", noisy=True, num_qubits=2)
+        levels = len(detector.config.effective_compression_levels)
         compiler = CircuitCompiler()
         with OnlineScorer(load_model(path), compiler=compiler) as scorer:
-            scorer.score(data[:2])  # cold: compiles one encoder per member
+            # cold: one encoder channel plus one observable per level, per
+            # member
+            scorer.score(data[:2])
             cold = compiler.stats
             compiles_after_warmup = cold.compiles
-            assert compiles_after_warmup == 3
+            assert compiles_after_warmup == 3 * (1 + levels)
             hits_before = cold.hits
             for start in range(0, 10, 2):
-                scorer.score(_toy_data(samples=2, seed=start))
+                scorer.score(_toy_data(samples=2, features=3, seed=start))
             warm = compiler.stats
         assert warm.compiles == compiles_after_warmup  # nothing recompiled
         assert warm.hits >= hits_before + 5 * 3  # every request reused programs

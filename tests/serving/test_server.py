@@ -38,6 +38,28 @@ def served_model(tmp_path_factory):
     thread.join(timeout=10)
 
 
+@pytest.fixture(scope="module")
+def served_noisy_model(tmp_path_factory):
+    """A server on a noisy model: its encoder channels and suffix observables
+    are the programs that reach the compiler cache (analytic encoders are
+    held per member and compile nothing)."""
+    data = np.random.default_rng(4).normal(size=(12, 3))
+    detector = QuorumDetector(ensemble_groups=2, seed=19, shots=512,
+                              backend="density_matrix", noisy=True,
+                              num_qubits=2)
+    detector.fit(data)
+    path = save_model(detector, tmp_path_factory.mktemp("noisy") / "m.json")
+    server = build_server(path, port=0)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    host, port = server.server_address[:2]
+    yield {"base": f"http://{host}:{port}", "data": data, "path": str(path),
+           "default_id": server.runtime.registry.default_id()}
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=10)
+
+
 def _get(url):
     with urllib.request.urlopen(url, timeout=30) as response:
         return response.status, json.loads(response.read()), response.headers
@@ -154,8 +176,8 @@ class TestLegacyRoutes:
         assert v1 == legacy
         assert "Deprecation" not in headers  # /v1 routes are not deprecated
 
-    def test_cache_counters_grow_across_requests(self, served_model):
-        base, data = served_model["base"], served_model["data"]
+    def test_cache_counters_grow_across_requests(self, served_noisy_model):
+        base, data = served_noisy_model["base"], served_noisy_model["data"]
         _, before, _ = _get(base + "/model")
         _post(base + "/score", {"samples": data[:1].tolist()})
         _post(base + "/score", {"samples": data[:1].tolist()})
@@ -212,18 +234,20 @@ class TestV1Models:
         assert payload["model_id"] == model_id
         assert len(payload["scores"]) == 2
 
-    def test_load_score_unload_second_model_shares_cache(self, served_model):
+    def test_load_score_unload_second_model_shares_cache(
+            self, served_noisy_model):
         """Acceptance criterion over HTTP: a second registry entry for the
         same artifact adds hits, not compiles, to the shared cache."""
-        base, data = served_model["base"], served_model["data"]
+        served = served_noisy_model
+        base, data = served["base"], served["data"]
         probe = data[:2].tolist()
         # Warm the cache through the default model with this exact probe.
-        _post(f"{base}/v1/models/{served_model['default_id']}/score",
+        _post(f"{base}/v1/models/{served['default_id']}/score",
               {"samples": probe})
-        _, warm, _ = _get(f"{base}/v1/models/{served_model['default_id']}")
+        _, warm, _ = _get(f"{base}/v1/models/{served['default_id']}")
 
         status, loaded, _ = _post(base + "/v1/models",
-                                  {"path": served_model["path"],
+                                  {"path": served["path"],
                                    "model_id": "twin"})
         assert status == 201
         assert loaded["model_id"] == "twin"
